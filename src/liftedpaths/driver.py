@@ -57,6 +57,9 @@ class SolverConfig:
     `lifted_flow=None` means: add the per-frame label bounds exactly when the
     instance carries frame data.  `node_limit` caps the branch-and-bound tree
     of each master solve; exhausting it ends the run with `round_limit`.
+    `time_limit` (seconds) is checked before each round and before each
+    branch-and-bound node of the master; exceeding it ends the run with
+    `time_limit`, keeping the last completed round's solution.
     """
 
     max_rounds: int = 200
@@ -68,12 +71,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RoundStats:
-    """One master-separate round: objective reached and cuts contributed."""
+    """One master-separate round: objective reached and cuts contributed,
+    with the master's branch-and-bound nodes and simplex pivots."""
 
     round: int
     master_objective: float
     cuts_added: dict[str, int]
     items_inspected: int
+    master_nodes: int = 0
+    master_pivots: int = 0
 
 
 @dataclass
@@ -190,6 +196,7 @@ def solve(
     """
     config = config or SolverConfig()
     started = time.monotonic()
+    deadline = None if config.time_limit is None else started + config.time_limit
     variables, objective = master_variables(instance)
 
     pool: list[LinearConstraint] = []
@@ -209,10 +216,7 @@ def solve(
 
     rounds = 0
     while rounds < config.max_rounds:
-        if (
-            config.time_limit is not None
-            and time.monotonic() - started > config.time_limit
-        ):
+        if deadline is not None and time.monotonic() > deadline:
             status = STATUS_TIME_LIMIT
             break
         rounds += 1
@@ -222,11 +226,15 @@ def solve(
             pool,
             node_limit=config.node_limit,
             warm_start=warm,
+            deadline=deadline,
         )
         if master.status == "infeasible":
             raise MilpError("master problem infeasible; the empty flow should always fit")
         if master.status == "node_limit":
             status = STATUS_ROUND_LIMIT
+            break
+        if master.status == "time_limit":
+            status = STATUS_TIME_LIMIT
             break
         warm = master.values
         best = _solution_from_values(instance, master.values)
@@ -252,6 +260,8 @@ def solve(
                 master_objective=best.objective,
                 cuts_added=dict(added),
                 items_inspected=rep_path.items_inspected + rep_cut.items_inspected,
+                master_nodes=master.nodes_explored,
+                master_pivots=master.lp_iterations,
             )
         )
         if not found:

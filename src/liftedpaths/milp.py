@@ -1,23 +1,34 @@
 """Binary-program backend: bounded-variable simplex plus branch-and-bound.
 
-The LP core is a two-phase revised simplex over box-bounded variables
-(structural variables live in [0, 1] unless a caller tightens them; slacks in
-[0, inf)).  Pricing is Dantzig's rule, switching to Bland's rule after
-3*(m+n) degenerate pivots so cycling cannot occur.  Infeasibility is reported
-with the index of a constraint whose phase-1 artificial stays basic and
-positive.
+The LP core is a revised simplex over box-bounded variables (structural
+variables live in [0, 1] unless a caller tightens them; slacks in [0, inf)).
+A fresh LP is solved by the two-phase primal method.  Pricing is Dantzig's
+rule, switching to Bland's rule after 3*(m+n) degenerate pivots so cycling
+cannot occur.  Infeasibility is reported with the index of a constraint whose
+phase-1 artificial stays basic and positive.
 
-The integer layer is plain best-first branch-and-bound: nodes are ordered by
-LP bound, branching picks the most fractional variable (ties: lowest column
-index), and a node whose bound is within 1e-9 of the incumbent is pruned.
-No cut generation happens here; callers add their own rows.  The only
-presolve is dropping empty rows (after checking they are satisfiable).
+A solved LP stays live: after a bound change or appended rows its basis is
+still dual feasible, and a bounded dual simplex (leaving row: the largest
+bound violation; entering column: the dual ratio test, with the same Bland
+fallback) restores primal feasibility in a few pivots.  Past 400 rows only
+the equality rows start active; the inequality rows a vertex violates are
+appended with their slacks basic and the LP is reoptimised this way.
+
+The integer layer is best-first branch-and-bound over one live LP: every
+open node keeps the optimal basis of its LP, and a child restores its
+parent's basis, tightens the branched bound and reoptimises by dual pivots.
+Nodes are ordered by LP bound, branching picks the fractional variable with
+the largest objective stake, and a node whose bound is within 1e-9 of the
+incumbent is pruned.  No cut generation happens here; callers add their own
+rows.  The only presolve is dropping empty rows (after checking they are
+satisfiable).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -127,17 +138,18 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
     objective: float | None
     values: np.ndarray | None  # aligned with the `variables` argument
-    infeasible_constraint: int | None = None
-    iterations: int = 0
+    infeasible_constraint: int | None = None  # None if found after rows were appended
+    iterations: int = 0  # simplex pivots, primal and dual
 
 
 @dataclass
 class BinaryResult:
-    status: str  # "optimal" | "infeasible" | "node_limit"
+    status: str  # "optimal" | "infeasible" | "node_limit" | "time_limit"
     objective: float | None
     values: np.ndarray | None  # 0/1 ints aligned with `variables`
     nodes_explored: int = 0
     bound: float | None = None  # best proven lower bound
+    lp_iterations: int = 0  # simplex pivots over all nodes, primal and dual
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +158,41 @@ class BinaryResult:
 
 _Row = tuple[dict[int, float], int, float]  # ({col: coef}, sense, rhs)
 
+#: Above this many rows, inequality rows are activated lazily on violation.
+_LAZY_ROW_THRESHOLD = 400
+
+
+def _triplets(rows: Sequence[_Row], first_slack: int) -> tuple[list, list, list]:
+    """COO data of `rows`, with a slack column for each inequality row
+    numbered from `first_slack` in row order."""
+    data: list[float] = []
+    ridx: list[int] = []
+    cidx: list[int] = []
+    for i, (coefs, _, _) in enumerate(rows):
+        for j, a in coefs.items():
+            data.append(a)
+            ridx.append(i)
+            cidx.append(j)
+    col = first_slack
+    for i, (_, sense, _) in enumerate(rows):
+        if sense != _SENSE_EQ:
+            data.append(1.0 if sense == _SENSE_LE else -1.0)
+            ridx.append(i)
+            cidx.append(col)
+            col += 1
+    return data, ridx, cidx
+
 
 class _Simplex:
-    """One LP: min c.x  s.t.  rows,  lo <= x <= up (all rows non-empty)."""
+    """A live LP: min c.x  s.t.  rows,  lo <= x <= up (all rows non-empty).
+
+    `solve` runs the two-phase primal method from a crash point.  After it,
+    `restore` (a stored basis under new structural bounds) and `add_rows`
+    keep the basis dual feasible, and `reoptimise` recovers an optimum by
+    dual pivots.  Past `_LAZY_ROW_THRESHOLD` rows only the equality rows
+    start active; `solve` and `reoptimise` both append the pending rows the
+    vertex violates and reoptimise until none is.
+    """
 
     def __init__(
         self,
@@ -159,30 +203,25 @@ class _Simplex:
         iteration_limit: int | None = None,
         start: np.ndarray | None = None,
     ):
+        self.rows = rows
+        if len(rows) > _LAZY_ROW_THRESHOLD:
+            self.active = [i for i, r in enumerate(rows) if r[1] == _SENSE_EQ]
+        else:
+            self.active = list(range(len(rows)))
+        active_set = set(self.active)
+        self.pending = [i for i in range(len(rows)) if i not in active_set]
+        rows = [self.rows[i] for i in self.active]
+
         self.nstruct = len(c)
         m = len(rows)
         self.m = m
         b = np.array([rhs for _, _, rhs in rows], dtype=float)
         senses = np.array([sense for _, sense, _ in rows], dtype=np.int64)
-
-        data: list[float] = []
-        ridx: list[int] = []
-        cidx: list[int] = []
-        for i, (coefs, _, _) in enumerate(rows):
-            for j, a in coefs.items():
-                data.append(a)
-                ridx.append(i)
-                cidx.append(j)
-        ncols = self.nstruct
+        data, ridx, cidx = _triplets(rows, self.nstruct)
         slack_of_row = np.full(m, -1, dtype=np.int64)
-        for i in range(m):
-            if senses[i] != _SENSE_EQ:
-                slack_of_row[i] = ncols
-                data.append(1.0 if senses[i] == _SENSE_LE else -1.0)
-                ridx.append(i)
-                cidx.append(ncols)
-                ncols += 1
-        nslack_end = ncols
+        ineq = np.flatnonzero(senses != _SENSE_EQ)
+        slack_of_row[ineq] = self.nstruct + np.arange(len(ineq))
+        ncols = nslack_end = self.nstruct + len(ineq)
 
         # Crash point: every structural sits on a bound.  With a start hint
         # (typically the vertex of a closely related LP) each coordinate snaps
@@ -224,11 +263,13 @@ class _Simplex:
             [up, np.full(nslack_end - self.nstruct, np.inf), np.full(n_art, np.inf)]
         )
         self.A = sp.coo_matrix((data, (ridx, cidx)), shape=(m, ncols)).tocsc()
-        self.At = sp.csr_matrix(self.A.T)
-        # Dense mirror of A for small problems: per-iteration column pulls and
-        # pricing dominate runtime there, and sparse indexing overhead swamps
-        # the arithmetic.
+        # Dense mirror of the initial rows for problems that fit: per-iteration
+        # column pulls and pricing dominate runtime there, and sparse indexing
+        # overhead swamps the arithmetic.  Rows appended later stay sparse
+        # (in `At`, transposed), so the mirror is never reallocated.
         self.Ad = self.A.toarray() if m * ncols <= _DENSE_MATRIX_LIMIT else None
+        self.dense_rows = m if self.Ad is not None else 0
+        self.At = None if self.Ad is not None else sp.csr_matrix(self.A.T)
         self.b = b
         self.ncols = ncols
         self.basis = basis
@@ -239,7 +280,8 @@ class _Simplex:
         self.Binv = np.diag(binv_diag)
         self.xB = binv_diag * resid
         self.c_struct = c
-        self.iterations = 0
+        self.iterations = 0  # passes of the current solve, for its limit
+        self.pivots = 0  # basis changes and bound flips over the LP's life
         self.degenerate = 0
         self.bland = False
         self.bland_threshold = 3 * (m + self.nstruct)
@@ -250,17 +292,30 @@ class _Simplex:
         )
 
     def _column(self, j: int) -> np.ndarray:
-        if self.Ad is not None:
+        if self.dense_rows == self.m:
             return self.Ad[:, j]
         return self.A[:, [j]].toarray().ravel()
 
-    def _reduced_costs(self, c: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        if self.Ad is not None:
-            return c - pi @ self.Ad
-        return c - self.At @ pi
+    def _products(self, y: np.ndarray) -> np.ndarray:
+        """y @ A, for one row vector or a stack of them."""
+        r = self.dense_rows
+        if r == self.m:
+            return y @ self.Ad
+        out = (self.At @ y[..., r:].T).T
+        if r:
+            out[..., : self.Ad.shape[1]] += y[..., :r] @ self.Ad
+        return out
+
+    def _costs(self) -> np.ndarray:
+        c = np.zeros(self.ncols)
+        c[: self.nstruct] = self.c_struct
+        return c
 
     def _refactor(self) -> None:
-        B = self.Ad[:, self.basis] if self.Ad is not None else self.A[:, self.basis].toarray()
+        if self.dense_rows == self.m:
+            B = self.Ad[:, self.basis]
+        else:
+            B = self.A[:, self.basis].toarray()
         try:
             self.Binv = np.linalg.solve(B, np.eye(self.m))
         except np.linalg.LinAlgError as exc:
@@ -268,6 +323,14 @@ class _Simplex:
         xfull = self.x.copy()
         xfull[self.basis] = 0.0
         self.xB = self.Binv @ (self.b - self.A @ xfull)
+
+    def _pivot(self, leave_row: int, col: np.ndarray) -> None:
+        """Product-form update of Binv for the column `col` = Binv a_j that
+        just entered at `leave_row`."""
+        row_r = self.Binv[leave_row, :] / col[leave_row]
+        self.Binv -= np.outer(col, row_r)
+        self.Binv[leave_row, :] = row_r
+        self.pivots += 1
 
     def _phase(self, c: np.ndarray, phase1: bool) -> str:
         movable = (self.up - self.lo) > 0
@@ -282,7 +345,7 @@ class _Simplex:
                 self._refactor()
 
             pi = c[self.basis] @ self.Binv
-            d = self._reduced_costs(c, pi)
+            d = c - self._products(pi)
             eligible = movable & (
                 ((self.vstat == _AT_LOWER) & (d < -_TOL_PRICE))
                 | ((self.vstat == _AT_UPPER) & (d > _TOL_PRICE))
@@ -333,6 +396,7 @@ class _Simplex:
             if leave_row < 0:
                 self.x[j] = self.up[j] if self.vstat[j] == _AT_LOWER else self.lo[j]
                 self.vstat[j] = _AT_UPPER if self.vstat[j] == _AT_LOWER else _AT_LOWER
+                self.pivots += 1
                 continue
             old = self.basis[leave_row]
             leaves_at_lower = delta[leave_row] > 0
@@ -341,17 +405,80 @@ class _Simplex:
             entering_val = self.x[j] + s_dir * t
             self.basis[leave_row] = j
             self.vstat[j] = _BASIC
-            pivot = col[leave_row]
-            if abs(pivot) <= _TOL_PIVOT:  # defensive; ratio test filters these
+            if abs(col[leave_row]) <= _TOL_PIVOT:  # defensive; ratio test filters these
                 self._refactor()
                 continue
-            row_r = self.Binv[leave_row, :] / pivot
-            self.Binv -= np.outer(col, row_r)
-            self.Binv[leave_row, :] = row_r
+            self._pivot(leave_row, col)
             self.xB[leave_row] = entering_val
 
+    def _dual(self, c: np.ndarray) -> str:
+        """Bounded dual simplex: from a dual-feasible basis, pivot out bound
+        violations until the basis is primal feasible too."""
+        movable = (self.up - self.lo) > 0
+        while True:
+            lo_b = self.lo[self.basis]
+            up_b = self.up[self.basis]
+            below = lo_b - self.xB
+            infeas = np.maximum(below, self.xB - up_b)
+            rows = np.flatnonzero(infeas > _TOL_FEAS)
+            if rows.size == 0:
+                return "optimal"
+            if self.iterations >= self.iteration_limit:
+                return "iteration_limit"
+            self.iterations += 1
+            if self.iterations % _REFACTOR_EVERY == 0:
+                self._refactor()
+                continue
+            if self.bland:
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(rows[np.argmax(infeas[rows])])
+            to_lower = below[r] > 0
+            d, alpha = self._products(
+                np.vstack((c[self.basis] @ self.Binv, self.Binv[r, :]))
+            )
+            d = c - d
+            # Raising x_j moves x_B[r] by -alpha_j; `gain` > 0 means raising
+            # x_j moves x_B[r] toward the bound it violates.
+            gain = -alpha if to_lower else alpha
+            at_lower = self.vstat == _AT_LOWER
+            at_upper = self.vstat == _AT_UPPER
+            idx = np.flatnonzero(
+                movable
+                & ((at_lower & (gain > _TOL_PIVOT)) | (at_upper & (gain < -_TOL_PIVOT)))
+            )
+            if idx.size == 0:
+                return "infeasible"  # row r cannot reach its bound within the box
+            ratios = np.maximum(np.where(at_lower[idx], d[idx], -d[idx]), 0.0) / np.abs(
+                alpha[idx]
+            )
+            t_min = float(ratios.min())
+            ties = idx[ratios <= t_min + 1e-12]
+            q = int(ties[0] if self.bland else ties[np.argmax(np.abs(alpha[ties]))])
+            if t_min <= 1e-12:
+                self.degenerate += 1
+                if self.degenerate > self.bland_threshold:
+                    self.bland = True
+
+            col = self.Binv @ self._column(q)
+            if abs(col[r]) <= _TOL_PIVOT:  # alpha and col disagree: drifted
+                self._refactor()
+                continue
+            target = lo_b[r] if to_lower else up_b[r]
+            step = (self.xB[r] - target) / col[r]  # change in x_q
+            entering_val = self.x[q] + step
+            self.xB -= step * col
+            old = self.basis[r]
+            self.x[old] = target
+            self.vstat[old] = _AT_LOWER if to_lower else _AT_UPPER
+            self.basis[r] = q
+            self.vstat[q] = _BASIC
+            self._pivot(r, col)
+            self.xB[r] = entering_val
+
     def solve(self) -> tuple[str, int | None]:
-        """Run both phases; returns (status, infeasible_row_or_None)."""
+        """Run both phases and activate violated rows; returns (status, the
+        index into `rows` of a blocking row or None)."""
         if self.ncols > self.art_start:
             c1 = np.zeros(self.ncols)
             c1[self.art_start :] = 1.0
@@ -363,11 +490,89 @@ class _Simplex:
             tol = _TOL_FEAS * max(1.0, float(np.abs(self.b).sum()))
             if art_sum > tol:
                 row = max(art_rows, key=lambda i: self.xB[i])
-                return "infeasible", row
+                return "infeasible", self.active[row]
             self.up[self.art_start :] = 0.0  # freeze artificials for phase 2
-        c2 = np.zeros(self.ncols)
-        c2[: self.nstruct] = self.c_struct
-        return self._phase(c2, phase1=False), None
+        return self._activate(self._phase(self._costs(), phase1=False)), None
+
+    def reoptimise(self) -> str:
+        """Recover an optimum after `restore` or `add_rows`, then activate
+        violated rows."""
+        return self._activate(self._reoptimise())
+
+    def _reoptimise(self) -> str:
+        self.iterations = 0
+        self.degenerate = 0
+        self.bland = False
+        c = self._costs()
+        status = self._dual(c)
+        if status != "optimal":
+            return status
+        # Drift can leave a reduced cost a hair on the wrong side; the primal
+        # phase repairs that, and otherwise stops at its first pricing.
+        return self._phase(c, phase1=False)
+
+    def _activate(self, status: str) -> str:
+        while status == "optimal" and self.pending:
+            candidates = [self.rows[i] for i in self.pending]
+            violated = _violated_rows(candidates, self.structural_values())
+            if not violated:
+                break
+            self.add_rows([self.pending[k] for k in violated])
+            status = self._reoptimise()
+        return status
+
+    def add_rows(self, indices: list[int]) -> None:
+        """Append pending inequality rows with their slacks basic.  The basis
+        stays dual feasible; a violated row's slack starts out of bounds."""
+        new = [self.rows[i] for i in indices]
+        k, m0, n0 = len(new), self.m, self.ncols
+        data, ridx, cidx = _triplets(new, n0)
+        block = sp.csr_matrix((data, (ridx, cidx)), shape=(k, n0 + k))
+        sign = np.array([1.0 if sense == _SENSE_LE else -1.0 for _, sense, _ in new])
+        rhs = np.array([r for _, _, r in new])
+        xfull = self.x.copy()
+        xfull[self.basis] = self.xB
+        slack = sign * (rhs - block[:, :n0] @ xfull)
+        # [[B, 0], [N, S]]^-1 = [[B^-1, 0], [-S N B^-1, S]] for S = diag(+-1).
+        binv = np.zeros((m0 + k, m0 + k))
+        binv[:m0, :m0] = self.Binv
+        binv[m0:, :m0] = -sign[:, None] * (block[:, self.basis].toarray() @ self.Binv)
+        binv[m0:, m0:] = np.diag(sign)
+        self.Binv = binv
+        self.xB = np.concatenate([self.xB, slack])
+        self.basis = np.concatenate([self.basis, np.arange(n0, n0 + k)])
+        self.vstat = np.concatenate([self.vstat, np.full(k, _BASIC)])
+        self.x = np.concatenate([self.x, np.zeros(k)])
+        self.lo = np.concatenate([self.lo, np.zeros(k)])
+        self.up = np.concatenate([self.up, np.full(k, np.inf)])
+        self.b = np.concatenate([self.b, rhs])
+        upper = sp.hstack([self.A, sp.csc_matrix((m0, k))])
+        self.A = sp.vstack([upper, block], format="csc")
+        self.At = sp.csr_matrix(self.A[self.dense_rows :, :].T)
+        self.m += k
+        self.ncols += k
+        self.bland_threshold = 3 * (self.m + self.nstruct)
+        self.active.extend(indices)
+        added = set(indices)
+        self.pending = [i for i in self.pending if i not in added]
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """The current basis and bound statuses, for `restore`."""
+        return self.basis.copy(), self.vstat.copy()
+
+    def restore(
+        self, state: tuple[np.ndarray, np.ndarray], lo: np.ndarray, up: np.ndarray
+    ) -> None:
+        """Load a `snapshot` under new structural bounds.  Rows appended
+        since the snapshot join with their slacks basic."""
+        basis, vstat = state
+        n_old = len(vstat)
+        self.basis = np.concatenate([basis, np.arange(n_old, self.ncols)])
+        self.vstat = np.concatenate([vstat, np.full(self.ncols - n_old, _BASIC)])
+        self.lo[: self.nstruct] = lo
+        self.up[: self.nstruct] = up
+        self.x = np.where(self.vstat == _AT_UPPER, self.up, self.lo)
+        self._refactor()
 
     def structural_values(self) -> np.ndarray:
         xfull = self.x.copy()
@@ -415,45 +620,6 @@ def _bad_empty_row(rows: Sequence[_Row]) -> int | None:
     return None
 
 
-def _solve_rows(
-    objective: np.ndarray,
-    rows: list[_Row],
-    lo: np.ndarray,
-    up: np.ndarray,
-    iteration_limit: int | None = None,
-    start: np.ndarray | None = None,
-) -> LpResult:
-    n = len(objective)
-    bad = _bad_empty_row(rows)
-    if bad is not None:
-        return LpResult("infeasible", None, None, infeasible_constraint=bad)
-    nonempty = [(i, r) for i, r in enumerate(rows) if r[0]]
-    if not nonempty or n == 0:
-        vals = np.where(objective < 0, up, lo) if n else np.zeros(0)
-        return LpResult("optimal", float(objective @ vals) if n else 0.0, vals)
-    simplex = _Simplex(
-        objective, [r for _, r in nonempty], lo, up, iteration_limit, start
-    )
-    try:
-        status, row = simplex.solve()
-    except _SingularBasis:
-        if start is None:
-            raise
-        # The warm crash point led pivoting into a numerically singular
-        # basis; it is only a hint, so retry from the default cold crash.
-        simplex = _Simplex(objective, [r for _, r in nonempty], lo, up, iteration_limit)
-        status, row = simplex.solve()
-    if status == "infeasible":
-        orig = nonempty[row][0] if row is not None else None
-        return LpResult("infeasible", None, None, orig, simplex.iterations)
-    if status != "optimal":
-        return LpResult(status, None, None, iterations=simplex.iterations)
-    vals = simplex.structural_values()
-    return LpResult(
-        "optimal", float(objective @ vals), vals, iterations=simplex.iterations
-    )
-
-
 def _violated_rows(rows: Sequence[_Row], vals: np.ndarray, tol: float = _TOL_FEAS) -> list[int]:
     out = []
     for i, (coefs, sense, rhs) in enumerate(rows):
@@ -467,39 +633,32 @@ def _violated_rows(rows: Sequence[_Row], vals: np.ndarray, tol: float = _TOL_FEA
     return out
 
 
-#: Above this many rows, inequality rows are activated lazily on violation.
-_LAZY_ROW_THRESHOLD = 400
-
-
-def _solve_rows_lazy(
+def _solve_root(
     objective: np.ndarray,
     rows: list[_Row],
     lo: np.ndarray,
     up: np.ndarray,
     iteration_limit: int | None = None,
     start: np.ndarray | None = None,
-) -> LpResult:
-    if len(rows) <= _LAZY_ROW_THRESHOLD:
-        return _solve_rows(objective, rows, lo, up, iteration_limit, start)
-    active = [i for i, r in enumerate(rows) if r[1] == _SENSE_EQ or not r[0]]
-    active_set = set(active)
-    for _ in range(len(rows) + 1):
-        res = _solve_rows(
-            objective, [rows[i] for i in active], lo, up, iteration_limit, start
-        )
-        if res.status != "optimal":
-            if res.infeasible_constraint is not None:
-                res.infeasible_constraint = active[res.infeasible_constraint]
-            return res
-        violated = [
-            i for i in _violated_rows(rows, res.values) if i not in active_set
-        ]
-        if not violated:
-            return res
-        active.extend(violated)
-        active_set.update(violated)
-        start = res.values
-    raise MilpError("lazy row activation failed to converge")
+) -> tuple[_Simplex, str, int | None]:
+    """Build the live LP over the non-empty rows (the empty ones must have
+    passed `_bad_empty_row`) and solve it: (simplex, status, blocking row
+    index into `rows` or None)."""
+    nonempty = [i for i, r in enumerate(rows) if r[0]]
+
+    def attempt(hint):
+        simplex = _Simplex(objective, [rows[i] for i in nonempty], lo, up, iteration_limit, hint)
+        status, row = simplex.solve()
+        return simplex, status, None if row is None else nonempty[row]
+
+    try:
+        return attempt(start)
+    except _SingularBasis:
+        if start is None:
+            raise
+        # The warm crash point led pivoting into a numerically singular
+        # basis; it is only a hint, so retry from the default cold crash.
+        return attempt(None)
 
 
 def solve_lp(
@@ -516,6 +675,8 @@ def solve_lp(
     The returned vertex satisfies every given constraint to within 1e-9
     (large sets are handled by activating inequality rows on violation, which
     does not change the optimum or vertex status of the result).
+    `iteration_limit` caps the passes of each solve: the first, and each
+    reoptimisation after rows are activated.
     """
     n = len(variables)
     c = np.asarray(list(objective), dtype=float)
@@ -526,7 +687,16 @@ def solve_lp(
     if np.any(lo > up + 1e-12):
         return LpResult("infeasible", None, None)
     rows = _index_rows(variables, constraints)
-    return _solve_rows_lazy(c, rows, lo, up, iteration_limit)
+    bad = _bad_empty_row(rows)
+    if bad is not None:
+        return LpResult("infeasible", None, None, infeasible_constraint=bad)
+    simplex, status, row = _solve_root(c, rows, lo, up, iteration_limit)
+    if status == "infeasible":
+        return LpResult("infeasible", None, None, row, simplex.pivots)
+    if status != "optimal":
+        return LpResult(status, None, None, iterations=simplex.pivots)
+    vals = simplex.structural_values()
+    return LpResult("optimal", float(c @ vals), vals, iterations=simplex.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -541,45 +711,53 @@ def solve_binary(
     *,
     node_limit: int | None = None,
     warm_start: Sequence[float] | None = None,
+    deadline: float | None = None,
 ) -> BinaryResult:
     """Minimize over {0,1}^n subject to `constraints` (exact, best-first).
 
     `warm_start` seeds the root LP's crash point (a hint, not a bound); any
-    vector of per-variable values in [0, 1] is accepted.
+    vector of per-variable values in [0, 1] is accepted.  `node_limit` caps
+    the LPs solved.  `deadline` is a `time.monotonic()` instant checked
+    before every node after the root; once it has passed, the search stops
+    with status "time_limit".  A search stopped by either limit reports the
+    incumbent, if any, and a proven lower bound.
     """
     n = len(variables)
     c = np.asarray(list(objective), dtype=float)
     rows = _index_rows(variables, constraints)
+    if node_limit is not None and node_limit <= 0:
+        return BinaryResult("node_limit", None, None, 0, None)
+    if _bad_empty_row(rows) is not None:
+        return BinaryResult("infeasible", None, None, 1, None)
     root_start = (
         None if warm_start is None else np.asarray(list(warm_start), dtype=float)
     )
+    lp, status, _ = _solve_root(c, rows, np.zeros(n), np.ones(n), start=root_start)
 
     inc_obj = math.inf
     inc_vals: np.ndarray | None = None
-    nodes = 0
+    nodes = 1
     counter = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    hit_node_limit = False
+    # Open nodes: (LP bound, tie counter, LP values, lo, up, optimal basis).
+    heap: list[tuple] = []
 
-    def push(lo: np.ndarray, up: np.ndarray, start: np.ndarray | None = None) -> None:
-        nonlocal nodes, counter, hit_node_limit
-        if node_limit is not None and nodes >= node_limit:
-            hit_node_limit = True
+    def settle(status: str, lo: np.ndarray, up: np.ndarray) -> None:
+        nonlocal counter
+        if status == "infeasible":
             return
-        nodes += 1
-        res = _solve_rows_lazy(c, rows, lo, up, start=start)
-        if res.status == "infeasible":
-            return
-        if res.status != "optimal":
-            raise MilpError(f"LP subproblem ended with status {res.status}")
-        if res.objective >= inc_obj - _GAP_TOL:
+        if status != "optimal":
+            raise MilpError(f"LP subproblem ended with status {status}")
+        vals = lp.structural_values()
+        obj = float(c @ vals)
+        if obj >= inc_obj - _GAP_TOL:
             return
         counter += 1
-        heapq.heappush(heap, (res.objective, counter, res.values, lo, up))
+        heapq.heappush(heap, (obj, counter, vals, lo, up, lp.snapshot()))
 
-    push(np.zeros(n), np.ones(n), start=root_start)
-    while heap and not hit_node_limit:
-        bound, _, vals, lo, up = heapq.heappop(heap)
+    settle(status, np.zeros(n), np.ones(n))
+    stopped = None
+    while heap:
+        bound, _, vals, lo, up, basis = heapq.heappop(heap)
         if bound >= inc_obj - _GAP_TOL:
             break
         frac = np.abs(vals - np.round(vals))
@@ -604,20 +782,29 @@ def solve_binary(
         j = int(np.argmax(scores))
         up0 = up.copy()
         up0[j] = 0.0
-        push(lo, up0, start=vals)
         lo1 = lo.copy()
         lo1[j] = 1.0
-        push(lo1, up, start=vals)
+        for child_lo, child_up in ((lo, up0), (lo1, up)):
+            if node_limit is not None and nodes >= node_limit:
+                stopped = "node_limit"
+            elif deadline is not None and time.monotonic() >= deadline:
+                stopped = "time_limit"
+            if stopped:
+                break
+            nodes += 1
+            lp.restore(basis, child_lo, child_up)
+            settle(lp.reoptimise(), child_lo, child_up)
+        if stopped:
+            # Best-first: the node being expanded had the least open bound.
+            return BinaryResult(
+                stopped,
+                inc_obj if inc_vals is not None else None,
+                inc_vals,
+                nodes,
+                min(bound, inc_obj),
+                lp.pivots,
+            )
 
-    if hit_node_limit:
-        open_bound = min((entry[0] for entry in heap), default=inc_obj)
-        return BinaryResult(
-            "node_limit",
-            inc_obj if inc_vals is not None else None,
-            inc_vals,
-            nodes,
-            min(open_bound, inc_obj) if inc_vals is not None or heap else None,
-        )
     if inc_vals is None:
-        return BinaryResult("infeasible", None, None, nodes, None)
-    return BinaryResult("optimal", inc_obj, inc_vals, nodes, inc_obj)
+        return BinaryResult("infeasible", None, None, nodes, None, lp.pivots)
+    return BinaryResult("optimal", inc_obj, inc_vals, nodes, inc_obj, lp.pivots)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,10 @@ from generators import (
     tightening_instance,
     two_round_instance,
 )
+from liftedpaths import milp
 from liftedpaths.constraints import SolutionValues, base_var, lift_var, node_var
 from liftedpaths.driver import (
+    RoundStats,
     SolverConfig,
     certify,
     master_variables,
@@ -85,6 +89,28 @@ def test_master_node_limit_surfaces_as_a_round_limit():
     res = solve(tightening_instance(), SolverConfig(node_limit=1))
     assert res.status == "round_limit"
     assert res.objective == pytest.approx(-2.4)
+
+
+def test_time_limit_stops_a_master_that_must_branch(monkeypatch):
+    # Seen from inside the master, every deadline has passed; the driver's
+    # own clock is untouched, so only the master's deadline can stop the run.
+    monkeypatch.setattr(milp, "time", types.SimpleNamespace(monotonic=lambda: math.inf))
+    res = solve(tightening_instance(), SolverConfig(time_limit=3600.0))
+    assert res.status == "time_limit"
+    assert not res.certified
+    assert res.objective == pytest.approx(-2.4)
+    assert res.rounds == len(res.trace) + 1
+    unlimited = solve(tightening_instance())
+    assert unlimited.status == "optimal"
+
+
+def test_round_stats_report_master_nodes_and_pivots():
+    res = solve(tightening_instance())
+    assert res.status == "optimal"
+    assert all(s.master_nodes >= 1 and s.master_pivots >= 1 for s in res.trace)
+    assert max(s.master_nodes for s in res.trace) > 1
+    legacy = RoundStats(1, -1.0, {}, 0)
+    assert (legacy.master_nodes, legacy.master_pivots) == (0, 0)
 
 
 def test_the_returned_cut_pool_certifies_in_one_round():

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from liftedpaths import milp
 from liftedpaths.milp import (
     LinearConstraint,
     VariableHandle,
@@ -184,3 +187,132 @@ def test_binary_warm_start_is_only_a_hint():
         warm = solve_binary(vs, [-1.0, -2.0], rows, warm_start=hint)
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(plain.objective, abs=1e-9)
+
+
+def parity_program(rng):
+    """8-12 binaries under coefficient-2 rows with odd right-hand sides.
+
+    Every such row cuts through the middle of the box, so LP vertices are
+    fractional and the search must branch; an odd equality has no integral
+    point at all, so children go infeasible.
+    """
+    vs = handles(rng.randint(8, 12))
+    objective = [float(rng.randint(-4, 2)) for _ in vs]
+    rows = []
+    for _ in range(rng.randint(2, 5)):
+        picked = rng.sample(vs, rng.randint(2, 5))
+        rhs = float(2 * rng.randint(0, len(picked) - 1) + 1)
+        sense = rng.choice(("<=", "<=", ">=", "="))
+        rows.append(LinearConstraint(tuple((h, 2.0) for h in picked), sense, rhs, "t"))
+    return vs, objective, rows
+
+
+def assert_matches_enumeration(vs, objective, rows, mine):
+    status, best, _ = oracles.binary_reference(vs, objective, rows)
+    assert mine.status == status
+    if status == "optimal":
+        assert mine.objective == pytest.approx(best, abs=1e-9)
+        values = dict(zip(vs, (float(x) for x in mine.values)))
+        for row in rows:
+            assert check_violation(row, values) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_reoptimised_branching_agrees_with_enumeration(seed):
+    vs, objective, rows = parity_program(random.Random(seed))
+    assert_matches_enumeration(vs, objective, rows, solve_binary(vs, objective, rows))
+
+
+class SimplexLog:
+    """Counts LP builds, reoptimisation outcomes and row activations."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        self.reoptimised: list[str] = []
+        self.added_in_children = 0
+        self.in_child = False
+        init, reoptimise, add_rows = (
+            milp._Simplex.__init__,
+            milp._Simplex.reoptimise,
+            milp._Simplex.add_rows,
+        )
+
+        def counted_init(simplex, *args, **kwargs):
+            self.built += 1
+            init(simplex, *args, **kwargs)
+
+        def logged_reoptimise(simplex):
+            self.in_child = True
+            try:
+                status = reoptimise(simplex)
+            finally:
+                self.in_child = False
+            self.reoptimised.append(status)
+            return status
+
+        def logged_add_rows(simplex, indices):
+            self.added_in_children += self.in_child
+            add_rows(simplex, indices)
+
+        monkeypatch.setattr(milp._Simplex, "__init__", counted_init)
+        monkeypatch.setattr(milp._Simplex, "reoptimise", logged_reoptimise)
+        monkeypatch.setattr(milp._Simplex, "add_rows", logged_add_rows)
+
+
+def test_parity_programs_branch_into_infeasible_children(monkeypatch):
+    log = SimplexLog(monkeypatch)
+    deepest = 0
+    calls = 30
+    for seed in range(calls):
+        vs, objective, rows = parity_program(random.Random(seed))
+        mine = solve_binary(vs, objective, rows)
+        assert_matches_enumeration(vs, objective, rows, mine)
+        deepest = max(deepest, mine.nodes_explored)
+        assert mine.lp_iterations > 0
+    assert deepest > 1
+    assert "infeasible" in log.reoptimised
+    assert "optimal" in log.reoptimised
+    # One LP per call: every child reoptimises the root's simplex.
+    assert log.built == calls
+
+
+def test_lazy_rows_and_branching_agree_with_enumeration(monkeypatch):
+    assert milp._LAZY_ROW_THRESHOLD < 430
+    rng = random.Random(0)
+    vs = handles(10)
+    objective = [float(rng.randint(-3, 1)) for _ in vs]
+    rows = [LinearConstraint(((vs[8], 1.0), (vs[9], 1.0)), "=", 1.0, "pick")]
+    while len(rows) < 430:
+        picked = rng.sample(vs, rng.randint(2, 4))
+        rhs = float(2 * rng.randint(1, len(picked) - 1) + 1)
+        rows.append(LinearConstraint(tuple((h, 2.0) for h in picked), "<=", rhs, "t"))
+    log = SimplexLog(monkeypatch)
+    mine = solve_binary(vs, objective, rows)
+    assert mine.status == "optimal"
+    assert mine.nodes_explored > 1
+    assert log.built == 1
+    assert log.added_in_children > 0, "no row was activated below the root"
+    assert_matches_enumeration(vs, objective, rows, mine)
+    relaxed = solve_lp(vs, objective, rows)
+    assert relaxed.status == "optimal"
+    assert relaxed.objective == pytest.approx(
+        oracles.lp_reference(vs, objective, rows).fun, abs=1e-6
+    )
+
+
+def test_binary_deadline_stops_after_the_root():
+    vs = handles(2)
+    rows = [LinearConstraint(tuple((h, 1.0) for h in vs), "<=", 1.5, "t")]
+    full = solve_binary(vs, [-1.0, -1.0], rows)
+    assert full.status == "optimal"
+    assert full.nodes_explored > 1, "this problem must branch"
+    late = solve_binary(vs, [-1.0, -1.0], rows, deadline=time.monotonic() - 1.0)
+    assert late.status == "time_limit"
+    assert late.nodes_explored == 1
+    assert late.objective is None
+    assert late.bound == pytest.approx(-1.5)
+    assert late.bound <= full.objective
+    ahead = solve_binary(vs, [-1.0, -1.0], rows, deadline=math.inf)
+    assert ahead.status == "optimal"
+    assert ahead.objective == pytest.approx(full.objective)
