@@ -154,8 +154,8 @@ def _short_path_rows(instance: Instance) -> list[LinearConstraint]:
         for mid in out_of.get(v, ()):
             if mid != SINK and (mid, w) in base:
                 two_hop.append((li, (v, mid, w)))
-    if len(two_hop) <= _TWO_HOP_ROW_BUDGET:
-        rows.extend(build_path_inequality(instance, li, nodes) for li, nodes in two_hop)
+    for li, nodes in two_hop[:_TWO_HOP_ROW_BUDGET]:
+        rows.append(build_path_inequality(instance, li, nodes))
     return rows
 
 

@@ -26,6 +26,7 @@ current track set, so the loop is monotone and stops quickly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 Detection = tuple[int, int]  # (frame, index within frame)
+PairCosts = dict[tuple[Detection, Detection], float]
 _EPS = 1e-9
 
 
@@ -63,8 +65,8 @@ _EPS = 1e-9
 class CostTable:
     """Pairwise linking costs plus optional ground-truth labels."""
 
-    base: dict[tuple[Detection, Detection], float]
-    lift: dict[tuple[Detection, Detection], float]
+    base: PairCosts
+    lift: PairCosts
     labels: dict[Detection, int]
 
     def __post_init__(self):
@@ -95,8 +97,8 @@ class CostTable:
 def parse_costs(text: str) -> CostTable:
     """Parse `base f1 i1 f2 i2 c` / `lift f1 i1 f2 i2 c` / `gt f i label`
     lines; '#' starts a comment."""
-    base: dict[tuple[Detection, Detection], float] = {}
-    lift: dict[tuple[Detection, Detection], float] = {}
+    base: PairCosts = {}
+    lift: PairCosts = {}
     labels: dict[Detection, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -149,6 +151,10 @@ class TrackingConfig:
     max_iterations: int = 25
     solver: SolverConfig = field(default_factory=SolverConfig)
 
+    def __post_init__(self):
+        if self.interval_length < 1:
+            raise ValueError("interval length must be at least 1")
+
     def gap_limit(self) -> int:
         if self.max_gap_frames is not None:
             return self.max_gap_frames
@@ -170,39 +176,34 @@ class TrackingConfig:
 
 
 def _build_detection_instance(
-    table: CostTable, detections: list[Detection], config: TrackingConfig
+    detections: list[Detection], base: PairCosts, lift: PairCosts, config: TrackingConfig
 ) -> tuple[Instance, dict[int, Detection]]:
-    """Sparsified instance over the given detections, with frame data."""
+    """Sparsified instance, with frame data, over the given detections and
+    the table entries between them."""
     order = sorted(detections)
     ids = {d: i for i, d in enumerate(order, start=1)}
     candidates: dict[tuple[Detection, int], list[tuple[float, Detection]]] = {}
-    for (u, v), cost in table.base.items():
-        if u in ids and v in ids and config.gap_allowed(v[0] - u[0]):
+    for (u, v), cost in base.items():
+        if config.gap_allowed(v[0] - u[0]):
             candidates.setdefault((u, v[0]), []).append((cost, v))
-    base: list[tuple[int, int, float]] = []
+    edges: list[tuple[int, int, float]] = []
     for d in order:
-        base.append((SOURCE, ids[d], 0.0))
-        base.append((ids[d], SINK, 0.0))
+        edges.append((SOURCE, ids[d], 0.0))
+        edges.append((ids[d], SINK, 0.0))
     for (u, _), cands in sorted(candidates.items()):
         cands.sort()
         for cost, v in cands[: config.successors_per_frame]:
-            base.append((ids[u], ids[v], cost))
-    skeleton = Instance(
-        len(order), base, frames={ids[d]: d[0] for d in order}
-    )
-    reach = skeleton.reachability
+            edges.append((ids[u], ids[v], cost))
+    frames = {ids[d]: d[0] for d in order}
+    reach = Instance(len(order), edges, frames=frames).reachability
     lifted = [
         (ids[u], ids[v], cost)
-        for (u, v), cost in sorted(table.lift.items())
-        if u in ids
-        and v in ids
-        and config.gap_allowed(v[0] - u[0])
+        for (u, v), cost in sorted(lift.items())
+        if config.gap_allowed(v[0] - u[0])
         and abs(cost) >= config.lift_epsilon
         and reach.reaches(ids[u], ids[v])
     ]
-    instance = Instance(
-        len(order), base, lifted, frames={ids[d]: d[0] for d in order}
-    )
+    instance = Instance(len(order), edges, lifted, frames=frames)
     return instance, {i: d for d, i in ids.items()}
 
 
@@ -223,12 +224,18 @@ def _interval_tracklets(
     detections = table.detections
     if not detections:
         return []
-    start = min(d[0] for d in detections)
-    groups: dict[int, list[Detection]] = {}
+    start, length = detections[0][0], config.interval_length
+    # per interval: its detections, base and lifted entries (dropped once built)
+    groups: dict[int, tuple[list[Detection], PairCosts, PairCosts]] = {}
     for d in detections:
-        groups.setdefault((d[0] - start) // config.interval_length, []).append(d)
+        groups.setdefault((d[0] - start) // length, ([], {}, {}))[0].append(d)
+    for slot, entries in ((1, table.base), (2, table.lift)):
+        for (u, v), cost in entries.items():
+            k = (u[0] - start) // length
+            if k == (v[0] - start) // length:
+                groups[k][slot][(u, v)] = cost
     jobs = [
-        (*_build_detection_instance(table, groups[k], config), config.solver)
+        (*_build_detection_instance(*groups.pop(k), config), config.solver)
         for k in sorted(groups)
     ]
     if config.jobs > 1 and len(jobs) > 1:
@@ -248,26 +255,14 @@ def _interval_tracklets(
 # stage 2: tracklets to tracks
 
 
-def _pair_window(
-    table: CostTable, left: tuple[Detection, ...], right: tuple[Detection, ...], gap: int
-) -> float:
-    total = 0.0
-    for u in left:
-        for v in right:
-            if 0 < v[0] - u[0] <= gap:
-                total += table.lift.get((u, v), 0.0)
-    return total
-
-
 def _tracklet_cost(table: CostTable, t: tuple[Detection, ...], gap: int) -> float:
     internal = math.fsum(
         table.base.get((t[i], t[i + 1]), 0.0) for i in range(len(t) - 1)
     )
     crossing = math.fsum(
-        table.lift.get((t[i], t[j]), 0.0)
-        for i in range(len(t))
-        for j in range(i + 1, len(t))
-        if 0 < t[j][0] - t[i][0] <= gap
+        table.lift.get((u, v), 0.0)
+        for i, u in enumerate(t)
+        for v in itertools.takewhile(lambda w: w[0] - u[0] <= gap, t[i + 1 :])
     )
     return internal + crossing
 
@@ -279,33 +274,37 @@ def _solve_tracklet_graph(
 ) -> list[tuple[Detection, ...]]:
     """Merge tracklets into tracks by solving the condensed instance."""
     gap = config.gap_limit()
-    order = sorted(range(len(tracklets)), key=lambda i: tracklets[i][0])
+    order = sorted(tracklets)  # disjoint, so sorted by their first detections
+    node_of = {d: a for a, t in enumerate(order, start=1) for d in t}
+    ends = {t[-1]: a for a, t in enumerate(order, start=1)}
+    starts = {t[0]: a for a, t in enumerate(order, start=1)}
     node_costs = {
-        a + 1: _tracklet_cost(table, tracklets[order[a]], gap)
-        for a in range(len(order))
+        a: _tracklet_cost(table, t, gap) for a, t in enumerate(order, start=1)
     }
     base: list[tuple[int, int, float]] = []
     for v in range(1, len(order) + 1):
         base.append((SOURCE, v, 0.0))
         base.append((v, SINK, 0.0))
-    for a in range(len(order)):
-        for b in range(len(order)):
-            if a == b:
-                continue
-            p, q = tracklets[order[a]], tracklets[order[b]]
-            boundary = (p[-1], q[0])
-            if 0 < boundary[1][0] - boundary[0][0] <= gap and boundary in table.base:
-                base.append((a + 1, b + 1, table.base[boundary]))
-    skeleton = Instance(len(order), base, node_costs=node_costs)
-    reach = skeleton.reachability
-    lifted: list[tuple[int, int, float]] = []
-    for a in range(len(order)):
-        for b in range(len(order)):
-            if a == b or not reach.reaches(a + 1, b + 1):
-                continue
-            cross = _pair_window(table, tracklets[order[a]], tracklets[order[b]], gap)
-            if cross:
-                lifted.append((a + 1, b + 1, cross))
+    base.extend(
+        sorted(
+            (ends[u], starts[v], cost)
+            for (u, v), cost in table.base.items()
+            if u in ends and v in starts and v[0] - u[0] <= gap
+        )
+    )
+    # Summed in key order, detection pair by detection pair, so the sums do
+    # not depend on the order the table's entries were read in.
+    cross: dict[tuple[int, int], float] = {}
+    for (u, v), cost in sorted(table.lift.items()):
+        a, b = node_of.get(u), node_of.get(v)
+        if a is not None and b is not None and a != b and v[0] - u[0] <= gap:
+            cross[a, b] = cross.get((a, b), 0.0) + cost
+    reach = Instance(len(order), base, node_costs=node_costs).reachability
+    lifted = [
+        (a, b, total)
+        for (a, b), total in sorted(cross.items())
+        if total and reach.reaches(a, b)
+    ]
     instance = Instance(len(order), base, lifted, node_costs=node_costs)
     result = solve(instance, config.solver)
     if result.status != "optimal":
@@ -313,7 +312,7 @@ def _solve_tracklet_graph(
     # Tracklets the solver leaves inactive are dropped deliberately: that is
     # how the model discards noise, so they must not be re-added here.
     return [
-        tuple(d for v in path for d in tracklets[order[v - 1]])
+        tuple(d for v in path for d in order[v - 1])
         for path in active_st_paths(instance, result.solution)
     ]
 

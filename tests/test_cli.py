@@ -264,6 +264,16 @@ def test_track_outputs_and_evaluation(tmp_path):
     assert "ids 0\n" in out
 
 
+@pytest.mark.parametrize("length", ["0", "-5"])
+def test_track_rejects_an_interval_length_below_one(tmp_path, length):
+    scene = tmp_path / "scene.cost"
+    scene.write_text(SCENE_TEXT)
+    code, out, err = run_cli("track", str(scene), "--interval-len", length)
+    assert code == 2
+    assert out == ""
+    assert err == "error: interval length must be at least 1\n"
+
+
 def _console_script_env(tmp_path):
     """Put an `ldp` built from `pyproject.toml` first on the child's PATH.
 

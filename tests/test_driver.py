@@ -20,16 +20,24 @@ from generators import (
     tightening_instance,
     two_round_instance,
 )
-from liftedpaths import milp
-from liftedpaths.constraints import SolutionValues, base_var, lift_var, node_var
+from liftedpaths import driver, milp
+from liftedpaths.constraints import (
+    TAG_PATH,
+    SolutionValues,
+    base_var,
+    build_path_inequality,
+    lift_var,
+    node_var,
+)
 from liftedpaths.driver import (
     RoundStats,
     SolverConfig,
+    build_initial_constraints,
     certify,
     master_variables,
     solve,
 )
-from liftedpaths.instance import FlowSolution, active_st_paths
+from liftedpaths.instance import SINK, SOURCE, FlowSolution, Instance, active_st_paths
 from liftedpaths.milp import check_violation
 from liftedpaths.oracle import brute_force_optimum
 
@@ -173,3 +181,22 @@ def test_master_variables_align_with_the_cost_vector():
     expected |= {lift_var(i): inst.lifted_cost(i) for i in range(len(inst.lifted_index))}
     expected |= {node_var(v): inst.node_costs[v] for v in inst.inner_nodes()}
     assert dict(zip(variables, costs)) == expected
+
+
+def test_two_hop_seeding_keeps_the_first_rows_past_the_budget():
+    # three complete layers: every first-to-last lifted pair has 21 two-hop paths
+    first, middle, last = range(1, 11), range(11, 32), range(32, 42)
+    base = [(SOURCE, v, 0.0) for v in first] + [(v, SINK, 0.0) for v in last]
+    base += [(u, v, 0.0) for u in first for v in middle]
+    base += [(u, v, 0.0) for u in middle for v in last]
+    inst = Instance(41, base, [(v, w, -1.0) for v in first for w in last])
+    candidates = [
+        (li, (v, mid, w))
+        for li, (v, w, _) in enumerate(inst.lifted_edges)
+        for mid in middle
+    ]
+    assert len(candidates) == 2100 > driver._TWO_HOP_ROW_BUDGET == 2000
+    seeded = [row for row in build_initial_constraints(inst) if row.tag == TAG_PATH]
+    assert seeded == [
+        build_path_inequality(inst, li, nodes) for li, nodes in candidates[:2000]
+    ]

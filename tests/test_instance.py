@@ -17,6 +17,7 @@ from liftedpaths.instance import (
     Instance,
     InstanceFormatError,
     InstanceValidationError,
+    Reachability,
     active_st_paths,
     evaluate_objective,
     format_solution,
@@ -133,6 +134,20 @@ def test_reachability_matches_breadth_first_search(seed):
         assert reach.reaches(v, v), "reachability must be reflexive"
         for w in inst.inner_nodes():
             assert reach.reaches(v, w) == (w in table[v])
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_on_demand_reachability_matches_the_dense_table(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_inner=12, max_base=30, max_lift=5)
+    dense, on_demand = Reachability(inst), Reachability(inst, _bitset_limit=0)
+    assert dense._dense and not on_demand._dense
+    nodes = [SOURCE, *inst.inner_nodes(), SINK]
+    pairs = [(v, w) for v in nodes for w in nodes]
+    rng.shuffle(pairs)  # rows are memoized in whatever order they are asked for
+    for v, w in pairs:
+        assert on_demand.reaches(v, w) == dense.reaches(v, w)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+import oracles
 from generators import interior_punisher_table, planted_sequence
+from liftedpaths import tracking
+from liftedpaths.instance import SINK, SOURCE
 from liftedpaths.tracking import (
     CostTable,
     TrackingConfig,
@@ -48,6 +52,12 @@ def test_gap_bands_widen_in_steps():
     assert [g for g in range(1, 15) if wide.gap_allowed(g)] == [1, 2, 3, 5, 6, 9]
     for skipped in (4, 7, 8, 10):
         assert not wide.gap_allowed(skipped)
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_interval_length_below_one_is_rejected(length):
+    with pytest.raises(ValueError, match="interval length must be at least 1"):
+        TrackingConfig(interval_length=length)
 
 
 def test_parse_costs_reads_tables_and_labels():
@@ -147,3 +157,85 @@ def test_short_planted_scene_is_recovered_exactly():
     assert result.iterations == 1
     assert len(result.tracks) == 3
     assert result.objective == pytest.approx(-1042.0)
+
+
+def test_parallel_interval_solves_match_the_serial_run():
+    table = planted_sequence(random.Random(4), frames=30, noise=0.2, clutter=4)
+    assert len({f // 10 for f, _ in table.detections}) == 3
+    serial = run_tracking(table, TrackingConfig(max_gap_frames=10, interval_length=10))
+    parallel = run_tracking(
+        table, TrackingConfig(max_gap_frames=10, interval_length=10, jobs=2)
+    )
+    assert parallel.tracks == serial.tracks
+    assert parallel.objective_trace == serial.objective_trace
+
+
+@pytest.mark.parametrize(
+    "table, config",
+    [
+        (
+            planted_sequence(random.Random(5), frames=60, noise=0.3, clutter=8),
+            TrackingConfig(max_gap_frames=6, interval_length=10),
+        ),
+        # merged, then cut, then merged again
+        (
+            interior_punisher_table()[0],
+            TrackingConfig(max_gap_frames=6, interval_length=15),
+        ),
+    ],
+    ids=["planted", "cut"],
+)
+def test_tracklet_graph_matches_a_brute_force_build(monkeypatch, table, config):
+    gap = config.gap_limit()
+    rounds = []  # [tracklets, instance] per stage-2 solve
+    merge, solve = tracking._solve_tracklet_graph, tracking.solve
+
+    def recording_merge(table, tracklets, config):
+        rounds.append([tracklets])
+        return merge(table, tracklets, config)
+
+    def recording_solve(instance, *args):
+        if rounds and len(rounds[-1]) == 1:
+            rounds[-1].append(instance)
+        return solve(instance, *args)
+
+    monkeypatch.setattr(tracking, "_solve_tracklet_graph", recording_merge)
+    monkeypatch.setattr(tracking, "solve", recording_solve)
+    run_tracking(table, config)
+    assert rounds
+    for tracklets, inst in rounds:
+        nodes = dict(enumerate(sorted(tracklets, key=lambda t: t[0]), start=1))
+        assert inst.n == len(nodes)
+        links, cross = {}, {}
+        for a, p in nodes.items():
+            inside = [table.base.get(hop, 0.0) for hop in zip(p, p[1:])] + [
+                table.lift.get((u, v), 0.0)
+                for i, u in enumerate(p)
+                for v in p[i + 1 :]
+                if v[0] - u[0] <= gap
+            ]
+            assert inst.node_costs[a] == pytest.approx(math.fsum(inside))
+            for b, q in nodes.items():
+                if a == b:
+                    continue
+                if (p[-1], q[0]) in table.base and q[0][0] - p[-1][0] <= gap:
+                    links[a, b] = table.base[p[-1], q[0]]
+                cross[a, b] = math.fsum(
+                    table.lift.get((u, v), 0.0)
+                    for u in p
+                    for v in q
+                    if 0 < v[0] - u[0] <= gap
+                )
+        ends = {(SOURCE, a) for a in nodes} | {(a, SINK) for a in nodes}
+        assert {(u, v) for u, v, _ in inst.base_edges if (u, v) in ends} == ends
+        assert {
+            (u, v): c for u, v, c in inst.base_edges if (u, v) not in ends
+        } == links
+        reach = oracles.reachable_sets(inst)
+        expected = {
+            (a, b): total for (a, b), total in cross.items() if total and b in reach[a]
+        }
+        lifted = {(u, v): c for u, v, c in inst.lifted_edges}
+        assert lifted.keys() == expected.keys()
+        assert lifted == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert links and lifted
