@@ -68,6 +68,13 @@ class SolverConfig:
     lifted_flow: bool | None = None
     node_limit: int | None = None
 
+    def __post_init__(self):
+        for name in ("max_rounds", "node_limit", "time_limit"):
+            value = getattr(self, name)
+            # `not >= 0` also rejects NaN, which would fail every deadline check.
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name.replace('_', ' ')} must be at least 0")
+
 
 @dataclass(frozen=True)
 class RoundStats:
@@ -144,15 +151,13 @@ def _short_path_rows(instance: Instance) -> list[LinearConstraint]:
     LP relaxation violates first on labels that undershoot realized
     connectivity; seeding them saves several cutting rounds per solve.
     """
-    base = {(u, v) for (u, v, _) in instance.base_edges}
-    out_of = {v: [u for _, u in instance.out_edges[v]] for v in range(instance.n + 1)}
     rows: list[LinearConstraint] = []
     two_hop: list[tuple[int, tuple[int, int, int]]] = []
     for li, (v, w, _) in enumerate(instance.lifted_edges):
-        if (v, w) in base:
+        if (v, w) in instance.base_index:
             rows.append(build_path_inequality(instance, li, (v, w)))
-        for mid in out_of.get(v, ()):
-            if mid != SINK and (mid, w) in base:
+        for _, mid in instance.out_edges[v]:
+            if mid != SINK and (mid, w) in instance.base_index:
                 two_hop.append((li, (v, mid, w)))
     for li, nodes in two_hop[:_TWO_HOP_ROW_BUDGET]:
         rows.append(build_path_inequality(instance, li, nodes))

@@ -20,8 +20,13 @@ parent's basis, tightens the branched bound and reoptimises by dual pivots.
 Nodes are ordered by LP bound, branching picks the fractional variable with
 the largest objective stake, and a node whose bound is within 1e-9 of the
 incumbent is pruned.  No cut generation happens here; callers add their own
-rows.  The only presolve is dropping empty rows (after checking they are
-satisfiable).
+rows.
+
+Each solve keeps its rows in one array store built by `_index_rows` (entry
+row, column and coefficient arrays, plus sense and right-hand-side arrays).
+The LP matrix, crash point, lazy activation and integral re-check read it,
+and `_RowStore.violated` alone decides row violation.  The only presolve is
+dropping empty rows, after checking that they are satisfiable.
 """
 
 from __future__ import annotations
@@ -156,72 +161,88 @@ class BinaryResult:
 # simplex core
 # ---------------------------------------------------------------------------
 
-_Row = tuple[dict[int, float], int, float]  # ({col: coef}, sense, rhs)
-
-#: Above this many rows, inequality rows are activated lazily on violation.
+#: Above this many non-empty rows, inequality rows are activated lazily on violation.
 _LAZY_ROW_THRESHOLD = 400
 
 
-def _triplets(rows: Sequence[_Row], first_slack: int) -> tuple[list, list, list]:
-    """COO data of `rows`, with a slack column for each inequality row
-    numbered from `first_slack` in row order."""
-    data: list[float] = []
-    ridx: list[int] = []
-    cidx: list[int] = []
-    for i, (coefs, _, _) in enumerate(rows):
-        for j, a in coefs.items():
-            data.append(a)
-            ridx.append(i)
-            cidx.append(j)
-    col = first_slack
-    for i, (_, sense, _) in enumerate(rows):
-        if sense != _SENSE_EQ:
-            data.append(1.0 if sense == _SENSE_LE else -1.0)
-            ridx.append(i)
-            cidx.append(col)
-            col += 1
-    return data, ridx, cidx
+class _RowStore:
+    """Every row of one solve as flat arrays.
+
+    Entry k puts `val[k]` at row `row[k]`, column `col[k]`; entries are
+    row-major in the caller's row order.  A handle repeated within a row
+    stays two entries: every use of the store is linear, so they add up.
+    A row with no entries is empty; one whose coefficients cancel is not.
+    """
+
+    def __init__(self, row, col, val, sense, rhs):
+        self.row, self.col, self.val = row, col, val
+        self.sense, self.rhs = sense, rhs
+        self.nonempty = np.bincount(row, minlength=len(rhs)) > 0
+
+    def lhs(self, values: np.ndarray) -> np.ndarray:
+        return np.bincount(self.row, self.val * values[self.col], minlength=len(self.rhs))
+
+    def violated(self, values: np.ndarray, tol: float = _TOL_FEAS) -> np.ndarray:
+        """Mask of the rows that `values` violates by more than `tol`."""
+        gap = self.lhs(values) - self.rhs
+        gap = np.where(
+            self.sense == _SENSE_LE, gap, np.where(self.sense == _SENSE_GE, -gap, np.abs(gap))
+        )
+        return gap > tol
+
+    def entries(self, idx: np.ndarray, first_slack: int) -> tuple[np.ndarray, ...]:
+        """COO (row, col, val) of the rows `idx`, renumbered 0.. in that
+        order, with a +-1 slack column for each inequality row numbered from
+        `first_slack`."""
+        pos = np.full(len(self.rhs), -1)
+        pos[idx] = np.arange(len(idx))
+        r = pos[self.row]
+        keep = r >= 0
+        sense = self.sense[idx]
+        ineq = np.flatnonzero(sense != _SENSE_EQ)
+        return (
+            np.concatenate([r[keep], ineq]),
+            np.concatenate([self.col[keep], first_slack + np.arange(len(ineq))]),
+            np.concatenate([self.val[keep], np.where(sense[ineq] == _SENSE_LE, 1.0, -1.0)]),
+        )
 
 
 class _Simplex:
-    """A live LP: min c.x  s.t.  rows,  lo <= x <= up (all rows non-empty).
+    """A live LP: min c.x  s.t.  the non-empty rows of `rows`,  lo <= x <= up.
 
-    `solve` runs the two-phase primal method from a crash point.  After it,
-    `restore` (a stored basis under new structural bounds) and `add_rows`
-    keep the basis dual feasible, and `reoptimise` recovers an optimum by
-    dual pivots.  Past `_LAZY_ROW_THRESHOLD` rows only the equality rows
-    start active; `solve` and `reoptimise` both append the pending rows the
-    vertex violates and reoptimise until none is.
+    The LP's rows are `active`, indices into the store in LP row order; the
+    rest of the non-empty rows are `pending`.  `solve` runs the two-phase
+    primal method from a crash point.  After it, `restore` (a stored basis
+    under new structural bounds) and `add_rows` keep the basis dual
+    feasible, and `reoptimise` recovers an optimum by dual pivots.  Past
+    `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
+    active; `solve` and `reoptimise` both append the pending rows the vertex
+    violates and reoptimise until none is.
     """
 
     def __init__(
         self,
         c: np.ndarray,
-        rows: Sequence[_Row],
+        rows: _RowStore,
         lo: np.ndarray,
         up: np.ndarray,
         iteration_limit: int | None = None,
         start: np.ndarray | None = None,
     ):
         self.rows = rows
-        if len(rows) > _LAZY_ROW_THRESHOLD:
-            self.active = [i for i, r in enumerate(rows) if r[1] == _SENSE_EQ]
-        else:
-            self.active = list(range(len(rows)))
-        active_set = set(self.active)
-        self.pending = [i for i in range(len(rows)) if i not in active_set]
-        rows = [self.rows[i] for i in self.active]
+        first = rows.nonempty
+        if np.count_nonzero(first) > _LAZY_ROW_THRESHOLD:
+            first = first & (rows.sense == _SENSE_EQ)
+        self.active = np.flatnonzero(first)
+        self.pending = np.flatnonzero(rows.nonempty & ~first)
 
         self.nstruct = len(c)
-        m = len(rows)
+        m = len(self.active)
         self.m = m
-        b = np.array([rhs for _, _, rhs in rows], dtype=float)
-        senses = np.array([sense for _, sense, _ in rows], dtype=np.int64)
-        data, ridx, cidx = _triplets(rows, self.nstruct)
-        slack_of_row = np.full(m, -1, dtype=np.int64)
+        senses = rows.sense[self.active]
+        ridx, cidx, data = rows.entries(self.active, self.nstruct)
         ineq = np.flatnonzero(senses != _SENSE_EQ)
-        slack_of_row[ineq] = self.nstruct + np.arange(len(ineq))
-        ncols = nslack_end = self.nstruct + len(ineq)
+        nslack_end = self.nstruct + len(ineq)
 
         # Crash point: every structural sits on a bound.  With a start hint
         # (typically the vertex of a closely related LP) each coordinate snaps
@@ -233,36 +254,33 @@ class _Simplex:
                 np.isfinite(lo) & np.isfinite(up), (lo + up) / 2.0, np.inf
             )
             x0 = np.where(start >= mid, up, x0)
-        resid = np.empty(m)
-        for i, (coefs, _, rhs) in enumerate(rows):
-            resid[i] = rhs - math.fsum(a * x0[j] for j, a in coefs.items())
+        resid = (rows.rhs - rows.lhs(x0))[self.active]
 
+        # Crash basis: a slack where it is feasible, else an artificial
+        # column signed so that it starts non-negative.
+        slack_ok = ((senses == _SENSE_LE) & (resid >= 0)) | (
+            (senses == _SENSE_GE) & (resid <= 0)
+        )
+        art = np.flatnonzero(~slack_ok)
+        n_art = len(art)
+        art_sign = np.where(resid[art] >= 0, 1.0, -1.0)
         basis = np.empty(m, dtype=np.int64)
-        binv_diag = np.ones(m)
-        n_art = 0
-        for i in range(m):
-            r = resid[i]
-            if senses[i] == _SENSE_LE and r >= 0:
-                basis[i] = slack_of_row[i]
-            elif senses[i] == _SENSE_GE and r <= 0:
-                basis[i] = slack_of_row[i]
-                binv_diag[i] = -1.0
-            else:
-                sign = 1.0 if r >= 0 else -1.0
-                data.append(sign)
-                ridx.append(i)
-                cidx.append(ncols + n_art)
-                basis[i] = ncols + n_art
-                binv_diag[i] = sign
-                n_art += 1
+        basis[ineq] = np.arange(self.nstruct, nslack_end)
+        basis[art] = nslack_end + np.arange(n_art)  # every equality row is here
+        binv_diag = np.where(senses == _SENSE_GE, -1.0, 1.0)
+        binv_diag[art] = art_sign
         self.art_start = nslack_end
-        ncols += n_art
+        ncols = nslack_end + n_art
 
         self.lo = np.concatenate([lo, np.zeros(ncols - self.nstruct)])
-        self.up = np.concatenate(
-            [up, np.full(nslack_end - self.nstruct, np.inf), np.full(n_art, np.inf)]
-        )
-        self.A = sp.coo_matrix((data, (ridx, cidx)), shape=(m, ncols)).tocsc()
+        self.up = np.concatenate([up, np.full(ncols - self.nstruct, np.inf)])
+        self.A = sp.coo_matrix(
+            (
+                np.concatenate([data, art_sign]),
+                (np.concatenate([ridx, art]), np.concatenate([cidx, basis[art]])),
+            ),
+            shape=(m, ncols),
+        ).tocsc()
         # Dense mirror of the initial rows for problems that fit: per-iteration
         # column pulls and pricing dominate runtime there, and sparse indexing
         # overhead swamps the arithmetic.  Rows appended later stay sparse
@@ -270,7 +288,6 @@ class _Simplex:
         self.Ad = self.A.toarray() if m * ncols <= _DENSE_MATRIX_LIMIT else None
         self.dense_rows = m if self.Ad is not None else 0
         self.At = None if self.Ad is not None else sp.csr_matrix(self.A.T)
-        self.b = b
         self.ncols = ncols
         self.basis = basis
         self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
@@ -322,7 +339,7 @@ class _Simplex:
             raise _SingularBasis(f"singular basis during refactorization: {exc}") from None
         xfull = self.x.copy()
         xfull[self.basis] = 0.0
-        self.xB = self.Binv @ (self.b - self.A @ xfull)
+        self.xB = self.Binv @ (self.rows.rhs[self.active] - self.A @ xfull)
 
     def _pivot(self, leave_row: int, col: np.ndarray) -> None:
         """Product-form update of Binv for the column `col` = Binv a_j that
@@ -485,12 +502,12 @@ class _Simplex:
             status = self._phase(c1, phase1=True)
             if status != "optimal":
                 return status, None
-            art_rows = [i for i in range(self.m) if self.basis[i] >= self.art_start]
-            art_sum = float(sum(self.xB[i] for i in art_rows))
-            tol = _TOL_FEAS * max(1.0, float(np.abs(self.b).sum()))
+            art_rows = np.flatnonzero(self.basis >= self.art_start)
+            art_sum = float(self.xB[art_rows].sum())
+            tol = _TOL_FEAS * max(1.0, float(np.abs(self.rows.rhs[self.active]).sum()))
             if art_sum > tol:
-                row = max(art_rows, key=lambda i: self.xB[i])
-                return "infeasible", self.active[row]
+                row = art_rows[np.argmax(self.xB[art_rows])]
+                return "infeasible", int(self.active[row])
             self.up[self.art_start :] = 0.0  # freeze artificials for phase 2
         return self._activate(self._phase(self._costs(), phase1=False)), None
 
@@ -512,24 +529,22 @@ class _Simplex:
         return self._phase(c, phase1=False)
 
     def _activate(self, status: str) -> str:
-        while status == "optimal" and self.pending:
-            candidates = [self.rows[i] for i in self.pending]
-            violated = _violated_rows(candidates, self.structural_values())
-            if not violated:
+        while status == "optimal" and self.pending.size:
+            hit = self.rows.violated(self.structural_values())[self.pending]
+            if not hit.any():
                 break
-            self.add_rows([self.pending[k] for k in violated])
+            self.add_rows(self.pending[hit])
             status = self._reoptimise()
         return status
 
-    def add_rows(self, indices: list[int]) -> None:
+    def add_rows(self, indices: np.ndarray) -> None:
         """Append pending inequality rows with their slacks basic.  The basis
         stays dual feasible; a violated row's slack starts out of bounds."""
-        new = [self.rows[i] for i in indices]
-        k, m0, n0 = len(new), self.m, self.ncols
-        data, ridx, cidx = _triplets(new, n0)
+        k, m0, n0 = len(indices), self.m, self.ncols
+        ridx, cidx, data = self.rows.entries(indices, n0)
         block = sp.csr_matrix((data, (ridx, cidx)), shape=(k, n0 + k))
-        sign = np.array([1.0 if sense == _SENSE_LE else -1.0 for _, sense, _ in new])
-        rhs = np.array([r for _, _, r in new])
+        sign = np.where(self.rows.sense[indices] == _SENSE_LE, 1.0, -1.0)
+        rhs = self.rows.rhs[indices]
         xfull = self.x.copy()
         xfull[self.basis] = self.xB
         slack = sign * (rhs - block[:, :n0] @ xfull)
@@ -545,16 +560,14 @@ class _Simplex:
         self.x = np.concatenate([self.x, np.zeros(k)])
         self.lo = np.concatenate([self.lo, np.zeros(k)])
         self.up = np.concatenate([self.up, np.full(k, np.inf)])
-        self.b = np.concatenate([self.b, rhs])
         upper = sp.hstack([self.A, sp.csc_matrix((m0, k))])
         self.A = sp.vstack([upper, block], format="csc")
         self.At = sp.csr_matrix(self.A[self.dense_rows :, :].T)
         self.m += k
         self.ncols += k
         self.bland_threshold = 3 * (self.m + self.nstruct)
-        self.active.extend(indices)
-        added = set(indices)
-        self.pending = [i for i in self.pending if i not in added]
+        self.active = np.concatenate([self.active, indices])
+        self.pending = np.setdiff1d(self.pending, indices, assume_unique=True)
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """The current basis and bound statuses, for `restore`."""
@@ -590,66 +603,42 @@ class _Simplex:
 def _index_rows(
     variables: Sequence[VariableHandle],
     constraints: Sequence[LinearConstraint],
-) -> list[_Row]:
+) -> _RowStore:
     col = {h: i for i, h in enumerate(variables)}
     if len(col) != len(variables):
         raise MilpError("duplicate variable handles")
-    rows: list[_Row] = []
-    for con in constraints:
-        coefs: dict[int, float] = {}
-        for h, c in con.terms:
-            if h not in col:
-                raise MilpError(f"constraint references unknown handle {h.label()}")
-            coefs[col[h]] = coefs.get(col[h], 0.0) + c
-        rows.append((coefs, _SENSES[con.sense], con.rhs))
-    return rows
-
-
-def _bad_empty_row(rows: Sequence[_Row]) -> int | None:
-    """Index of an unsatisfiable empty row, if any."""
-    for i, (coefs, sense, rhs) in enumerate(rows):
-        if coefs:
-            continue
-        ok = (
-            (sense == _SENSE_LE and 0.0 <= rhs + _TOL_FEAS)
-            or (sense == _SENSE_GE and 0.0 >= rhs - _TOL_FEAS)
-            or (sense == _SENSE_EQ and abs(rhs) <= _TOL_FEAS)
-        )
-        if not ok:
-            return i
-    return None
-
-
-def _violated_rows(rows: Sequence[_Row], vals: np.ndarray, tol: float = _TOL_FEAS) -> list[int]:
-    out = []
-    for i, (coefs, sense, rhs) in enumerate(rows):
-        lhs = math.fsum(a * vals[j] for j, a in coefs.items())
-        if sense == _SENSE_LE and lhs > rhs + tol:
-            out.append(i)
-        elif sense == _SENSE_GE and lhs < rhs - tol:
-            out.append(i)
-        elif sense == _SENSE_EQ and abs(lhs - rhs) > tol:
-            out.append(i)
-    return out
+    cols: list[int] = []
+    vals: list[float] = []
+    try:
+        for con in constraints:
+            for h, c in con.terms:
+                cols.append(col[h])
+                vals.append(c)
+    except KeyError as exc:
+        raise MilpError(f"constraint references unknown handle {exc.args[0].label()}") from None
+    return _RowStore(
+        np.repeat(np.arange(len(constraints)), [len(con.terms) for con in constraints]),
+        np.array(cols, dtype=np.int64),
+        np.array(vals, dtype=float),
+        np.array([_SENSES[con.sense] for con in constraints], dtype=np.int64),
+        np.array([con.rhs for con in constraints], dtype=float),
+    )
 
 
 def _solve_root(
     objective: np.ndarray,
-    rows: list[_Row],
+    rows: _RowStore,
     lo: np.ndarray,
     up: np.ndarray,
     iteration_limit: int | None = None,
     start: np.ndarray | None = None,
 ) -> tuple[_Simplex, str, int | None]:
-    """Build the live LP over the non-empty rows (the empty ones must have
-    passed `_bad_empty_row`) and solve it: (simplex, status, blocking row
-    index into `rows` or None)."""
-    nonempty = [i for i, r in enumerate(rows) if r[0]]
+    """Build the live LP (the empty rows must be satisfiable) and solve it:
+    (simplex, status, blocking row index into `rows` or None)."""
 
     def attempt(hint):
-        simplex = _Simplex(objective, [rows[i] for i in nonempty], lo, up, iteration_limit, hint)
-        status, row = simplex.solve()
-        return simplex, status, None if row is None else nonempty[row]
+        simplex = _Simplex(objective, rows, lo, up, iteration_limit, hint)
+        return (simplex, *simplex.solve())
 
     try:
         return attempt(start)
@@ -687,9 +676,9 @@ def solve_lp(
     if np.any(lo > up + 1e-12):
         return LpResult("infeasible", None, None)
     rows = _index_rows(variables, constraints)
-    bad = _bad_empty_row(rows)
-    if bad is not None:
-        return LpResult("infeasible", None, None, infeasible_constraint=bad)
+    bad = np.flatnonzero(~rows.nonempty & rows.violated(np.zeros(n)))
+    if bad.size:
+        return LpResult("infeasible", None, None, infeasible_constraint=int(bad[0]))
     simplex, status, row = _solve_root(c, rows, lo, up, iteration_limit)
     if status == "infeasible":
         return LpResult("infeasible", None, None, row, simplex.pivots)
@@ -727,7 +716,7 @@ def solve_binary(
     rows = _index_rows(variables, constraints)
     if node_limit is not None and node_limit <= 0:
         return BinaryResult("node_limit", None, None, 0, None)
-    if _bad_empty_row(rows) is not None:
+    if (~rows.nonempty & rows.violated(np.zeros(n))).any():
         return BinaryResult("infeasible", None, None, 1, None)
     root_start = (
         None if warm_start is None else np.asarray(list(warm_start), dtype=float)
@@ -763,7 +752,7 @@ def solve_binary(
         frac = np.abs(vals - np.round(vals))
         if n == 0 or float(frac.max(initial=0.0)) <= _INTEGRALITY_TOL:
             cand = np.clip(np.round(vals), lo, up)
-            if _violated_rows(rows, cand, _ROUNDED_ROW_TOL):
+            if rows.violated(cand, _ROUNDED_ROW_TOL).any():
                 raise MilpError("integral LP vertex failed row re-check")
             obj = math.fsum(float(ci) for ci, vi in zip(c, cand) if vi)
             if obj < inc_obj:

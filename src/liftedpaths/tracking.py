@@ -152,8 +152,12 @@ class TrackingConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.interval_length < 1:
-            raise ValueError("interval length must be at least 1")
+        for name in ("interval_length", "successors_per_frame", "max_gap_frames"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name.replace('_', ' ')} must be at least 1")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValueError("fps must be a positive finite number")
 
     def gap_limit(self) -> int:
         if self.max_gap_frames is not None:

@@ -264,14 +264,46 @@ def test_track_outputs_and_evaluation(tmp_path):
     assert "ids 0\n" in out
 
 
-@pytest.mark.parametrize("length", ["0", "-5"])
-def test_track_rejects_an_interval_length_below_one(tmp_path, length):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param("--interval-len", "0", "interval length must be at least 1", id="0"),
+        pytest.param("--interval-len", "-5", "interval length must be at least 1", id="-5"),
+        pytest.param("--K", "0", "successors per frame must be at least 1", id="K=0"),
+        pytest.param("--K", "-1", "successors per frame must be at least 1", id="K=-1"),
+        pytest.param(
+            "--max-gap-frames", "-2", "max gap frames must be at least 1", id="max-gap-frames=-2"
+        ),
+        pytest.param("--fps", "0", "fps must be a positive finite number", id="fps=0"),
+        pytest.param("--fps", "nan", "fps must be a positive finite number", id="fps=nan"),
+    ],
+)
+def test_track_rejects_an_interval_length_below_one(tmp_path, flag, value, message):
+    """So does every other knob with a floor."""
     scene = tmp_path / "scene.cost"
     scene.write_text(SCENE_TEXT)
-    code, out, err = run_cli("track", str(scene), "--interval-len", length)
+    code, out, err = run_cli("track", str(scene), flag, value)
     assert code == 2
     assert out == ""
-    assert err == "error: interval length must be at least 1\n"
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--rounds", "-1", "max rounds must be at least 0"),
+        ("--time-limit", "-1", "time limit must be at least 0"),
+        ("--time-limit", "nan", "time limit must be at least 0"),
+    ],
+    ids=["rounds=-1", "time-limit=-1", "time-limit=nan"],
+)
+def test_solve_rejects_negative_and_nan_limits(tmp_path, flag, value, message):
+    path = tmp_path / "demo.ldp"
+    path.write_text(DEMO_TEXT)
+    code, out, err = run_cli("solve", str(path), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def _console_script_env(tmp_path):

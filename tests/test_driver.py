@@ -93,6 +93,21 @@ def test_time_limit_zero_stops_immediately():
     assert res.status == "time_limit"
 
 
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ({"max_rounds": -1}, "max rounds"),
+        ({"node_limit": -1}, "node limit"),
+        ({"time_limit": -0.5}, "time limit"),
+        ({"time_limit": math.nan}, "time limit"),
+    ],
+    ids=["max_rounds=-1", "node_limit=-1", "time_limit=-0.5", "time_limit=nan"],
+)
+def test_solver_config_rejects_negative_and_nan_limits(limits, message):
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**limits)
+
+
 def test_master_node_limit_surfaces_as_a_round_limit():
     res = solve(tightening_instance(), SolverConfig(node_limit=1))
     assert res.status == "round_limit"

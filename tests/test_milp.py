@@ -76,18 +76,23 @@ def test_violation_requires_every_variable():
 
 
 def random_rows(rng, variables, count):
+    """Random rows over `variables`.  Some are empty, and about one in five
+    of the others repeats a handle, cancelling its first term or adding to it."""
     rows = []
     for _ in range(count):
-        terms = tuple(
+        terms = [
             (h, float(rng.randint(-3, 3)))
             for h in variables
             if rng.random() < 0.7
-        )
-        if not terms:
-            continue
+        ]
+        if rng.random() < 0.1:
+            terms = []
+        elif terms and rng.random() < 0.2:
+            h, c = rng.choice(terms)
+            terms.append((h, rng.choice((-c, 1.0))))
         sense = rng.choice(("<=", ">=", "="))
         rhs = float(rng.randint(-4, 4)) / 2.0
-        rows.append(LinearConstraint(terms, sense, rhs, "t"))
+        rows.append(LinearConstraint(tuple(terms), sense, rhs, "t"))
     return rows
 
 
@@ -120,6 +125,23 @@ def test_lp_reports_a_blocking_row_when_infeasible():
     out = solve_lp([a], [1.0], [LinearConstraint(((a, 1.0),), ">=", 2.0, "t")])
     assert out.status == "infeasible"
     assert out.infeasible_constraint == 0
+
+
+def test_blocking_row_index_counts_the_empty_rows_before_it():
+    a, b = handles(2)
+    rows = [
+        LinearConstraint((), "<=", 1.0, "empty"),
+        LinearConstraint((), "=", 0.0, "empty"),
+        LinearConstraint(((a, 1.0), (a, -1.0)), "<=", 0.0, "cancels"),
+        LinearConstraint(((a, 1.0),), "<=", 1.0, "t"),
+        LinearConstraint(((a, 1.0), (b, 1.0)), ">=", 3.0, "blocks"),
+        LinearConstraint((), ">=", -1.0, "empty"),
+    ]
+    out = solve_lp([a, b], [1.0, 1.0], rows)
+    assert out.status == "infeasible"
+    assert out.infeasible_constraint == 4
+    assert solve_binary([a, b], [1.0, 1.0], rows).status == "infeasible"
+    assert solve_lp([a, b], [1.0, 1.0], rows[:4]).status == "optimal"
 
 
 def test_lp_detects_unbounded_rays():

@@ -54,10 +54,26 @@ def test_gap_bands_widen_in_steps():
         assert not wide.gap_allowed(skipped)
 
 
-@pytest.mark.parametrize("length", [0, -3])
-def test_interval_length_below_one_is_rejected(length):
-    with pytest.raises(ValueError, match="interval length must be at least 1"):
-        TrackingConfig(interval_length=length)
+@pytest.mark.parametrize(
+    "knob, value, message",
+    [
+        pytest.param("interval_length", 0, "interval length must be at least 1", id="0"),
+        pytest.param("interval_length", -3, "interval length must be at least 1", id="-3"),
+        pytest.param("successors_per_frame", 0, "successors per frame", id="K=0"),
+        pytest.param("successors_per_frame", -1, "successors per frame", id="K=-1"),
+        pytest.param("max_gap_frames", 0, "max gap frames", id="max_gap_frames=0"),
+        pytest.param("max_gap_frames", -2, "max gap frames", id="max_gap_frames=-2"),
+        pytest.param("fps", 0.0, "fps must be", id="fps=0"),
+        pytest.param("fps", -5.0, "fps must be", id="fps=-5"),
+        pytest.param("fps", math.nan, "fps must be", id="fps=nan"),
+        pytest.param("fps", math.inf, "fps must be", id="fps=inf"),
+    ],
+)
+def test_interval_length_below_one_is_rejected(knob, value, message):
+    """The interval length, and every other knob with a floor, rejects a
+    value below it instead of running with it."""
+    with pytest.raises(ValueError, match=message):
+        TrackingConfig(**{knob: value})
 
 
 def test_parse_costs_reads_tables_and_labels():
