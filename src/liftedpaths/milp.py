@@ -26,7 +26,9 @@ Each solve keeps its rows in one array store built by `_index_rows` (entry
 row, column and coefficient arrays, plus sense and right-hand-side arrays).
 The LP matrix, crash point, lazy activation and integral re-check read it,
 and `_RowStore.violated` alone decides row violation.  The only presolve is
-dropping empty rows, after checking that they are satisfiable.
+dropping empty rows, after checking that they are satisfiable.  The LP
+matrix is a dense column-major block of the initial rows (8*m*ncols bytes,
+beside the m x m basis inverse) plus the appended rows' store entries.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 #: Variable kinds, in canonical column order.
 KIND_NODE = "node"
@@ -60,9 +61,6 @@ _TOL_FEAS = 1e-9
 _INTEGRALITY_TOL = 1e-6
 _GAP_TOL = 1e-9
 _REFACTOR_EVERY = 256
-#: Keep a dense mirror of the constraint matrix up to this many entries
-#: (96 MB of float64); beyond that, stick to sparse column pulls.
-_DENSE_MATRIX_LIMIT = 12_000_000
 #: Tolerance for re-checking a rounded integral candidate against the rows.
 #: Row data is integral, so a genuine violation is >= 1; this only needs to
 #: absorb the <= 1e-6 per-variable rounding drift.
@@ -218,6 +216,9 @@ class _Simplex:
     `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
     active; `solve` and `reoptimise` both append the pending rows the vertex
     violates and reoptimise until none is.
+    `block` holds the initial rows over the initial columns, column-major,
+    and never grows; `tail` holds the appended rows as COO (row, col, val)
+    arrays in LP row numbering, where a repeated entry adds up.
     """
 
     def __init__(
@@ -274,20 +275,12 @@ class _Simplex:
 
         self.lo = np.concatenate([lo, np.zeros(ncols - self.nstruct)])
         self.up = np.concatenate([up, np.full(ncols - self.nstruct, np.inf)])
-        self.A = sp.coo_matrix(
-            (
-                np.concatenate([data, art_sign]),
-                (np.concatenate([ridx, art]), np.concatenate([cidx, basis[art]])),
-            ),
-            shape=(m, ncols),
-        ).tocsc()
-        # Dense mirror of the initial rows for problems that fit: per-iteration
-        # column pulls and pricing dominate runtime there, and sparse indexing
-        # overhead swamps the arithmetic.  Rows appended later stay sparse
-        # (in `At`, transposed), so the mirror is never reallocated.
-        self.Ad = self.A.toarray() if m * ncols <= _DENSE_MATRIX_LIMIT else None
-        self.dense_rows = m if self.Ad is not None else 0
-        self.At = None if self.Ad is not None else sp.csr_matrix(self.A.T)
+        # Column-major: a column pull is contiguous, and the layout fixes the
+        # order in which pricing's `y @ block` sums.
+        self.block = np.zeros((m, ncols), order="F")
+        np.add.at(self.block, (ridx, cidx), data)
+        self.block[art, basis[art]] = art_sign
+        self.tail = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
         self.ncols = ncols
         self.basis = basis
         self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
@@ -308,19 +301,33 @@ class _Simplex:
             else 5000 + 60 * (m + ncols)
         )
 
+    def _columns(self, cols: np.ndarray) -> np.ndarray:
+        """The LP matrix's columns `cols`, dense; a repeated tail entry adds up."""
+        m0, n0 = self.block.shape
+        if m0 == self.m:
+            return self.block[:, cols]
+        row, col, val = self.tail
+        pos = np.full(self.ncols, -1)
+        pos[cols] = np.arange(len(cols))
+        keep = pos[col] >= 0
+        out = np.zeros((self.m, len(cols)))
+        np.add.at(out, (row[keep], pos[col[keep]]), val[keep])
+        inner = cols < n0
+        out[:m0, inner] = self.block[:, cols[inner]]
+        return out
+
     def _column(self, j: int) -> np.ndarray:
-        if self.dense_rows == self.m:
-            return self.Ad[:, j]
-        return self.A[:, [j]].toarray().ravel()
+        return self._columns(np.array([j]))[:, 0]
 
     def _products(self, y: np.ndarray) -> np.ndarray:
         """y @ A, for one row vector or a stack of them."""
-        r = self.dense_rows
-        if r == self.m:
-            return y @ self.Ad
-        out = (self.At @ y[..., r:].T).T
-        if r:
-            out[..., : self.Ad.shape[1]] += y[..., :r] @ self.Ad
+        m0, n0 = self.block.shape
+        if m0 == self.m:
+            return y @ self.block
+        row, col, val = self.tail
+        out = np.zeros(y.shape[:-1] + (self.ncols,))
+        np.add.at(out.T, col, (y[..., row] * val).T)
+        out[..., :n0] += y[..., :m0] @ self.block
         return out
 
     def _costs(self) -> np.ndarray:
@@ -329,17 +336,14 @@ class _Simplex:
         return c
 
     def _refactor(self) -> None:
-        if self.dense_rows == self.m:
-            B = self.Ad[:, self.basis]
-        else:
-            B = self.A[:, self.basis].toarray()
         try:
-            self.Binv = np.linalg.solve(B, np.eye(self.m))
+            self.Binv = np.linalg.solve(self._columns(self.basis), np.eye(self.m))
         except np.linalg.LinAlgError as exc:
             raise _SingularBasis(f"singular basis during refactorization: {exc}") from None
         xfull = self.x.copy()
         xfull[self.basis] = 0.0
-        self.xB = self.Binv @ (self.rows.rhs[self.active] - self.A @ xfull)
+        nz = np.flatnonzero(xfull)
+        self.xB = self.Binv @ (self.rows.rhs[self.active] - self._columns(nz) @ xfull[nz])
 
     def _pivot(self, leave_row: int, col: np.ndarray) -> None:
         """Product-form update of Binv for the column `col` = Binv a_j that
@@ -542,16 +546,17 @@ class _Simplex:
         stays dual feasible; a violated row's slack starts out of bounds."""
         k, m0, n0 = len(indices), self.m, self.ncols
         ridx, cidx, data = self.rows.entries(indices, n0)
-        block = sp.csr_matrix((data, (ridx, cidx)), shape=(k, n0 + k))
+        self.tail = tuple(np.concatenate(p) for p in zip(self.tail, (m0 + ridx, cidx, data)))
+        self.m += k
+        self.ncols += k
         sign = np.where(self.rows.sense[indices] == _SENSE_LE, 1.0, -1.0)
-        rhs = self.rows.rhs[indices]
         xfull = self.x.copy()
         xfull[self.basis] = self.xB
-        slack = sign * (rhs - block[:, :n0] @ xfull)
+        slack = sign * (self.rows.rhs[indices] - self.rows.lhs(xfull[: self.nstruct])[indices])
         # [[B, 0], [N, S]]^-1 = [[B^-1, 0], [-S N B^-1, S]] for S = diag(+-1).
-        binv = np.zeros((m0 + k, m0 + k))
+        binv = np.zeros((self.m, self.m))
         binv[:m0, :m0] = self.Binv
-        binv[m0:, :m0] = -sign[:, None] * (block[:, self.basis].toarray() @ self.Binv)
+        binv[m0:, :m0] = -sign[:, None] * (self._columns(self.basis)[m0:] @ self.Binv)
         binv[m0:, m0:] = np.diag(sign)
         self.Binv = binv
         self.xB = np.concatenate([self.xB, slack])
@@ -560,11 +565,6 @@ class _Simplex:
         self.x = np.concatenate([self.x, np.zeros(k)])
         self.lo = np.concatenate([self.lo, np.zeros(k)])
         self.up = np.concatenate([self.up, np.full(k, np.inf)])
-        upper = sp.hstack([self.A, sp.csc_matrix((m0, k))])
-        self.A = sp.vstack([upper, block], format="csc")
-        self.At = sp.csr_matrix(self.A[self.dense_rows :, :].T)
-        self.m += k
-        self.ncols += k
         self.bland_threshold = 3 * (self.m + self.nstruct)
         self.active = np.concatenate([self.active, indices])
         self.pending = np.setdiff1d(self.pending, indices, assume_unique=True)
@@ -625,6 +625,13 @@ def _index_rows(
     )
 
 
+def _per_variable(values: Sequence[float], n: int, name: str) -> np.ndarray:
+    vector = np.asarray(list(values), dtype=float)
+    if vector.shape != (n,):
+        raise MilpError(f"{name} length does not match variables")
+    return vector
+
+
 def _solve_root(
     objective: np.ndarray,
     rows: _RowStore,
@@ -663,16 +670,16 @@ def solve_lp(
 
     The returned vertex satisfies every given constraint to within 1e-9
     (large sets are handled by activating inequality rows on violation, which
-    does not change the optimum or vertex status of the result).
+    does not change the optimum or vertex status of the result).  The
+    objective and the given bounds must have one entry per variable, or
+    `MilpError` is raised.
     `iteration_limit` caps the passes of each solve: the first, and each
     reoptimisation after rows are activated.
     """
     n = len(variables)
-    c = np.asarray(list(objective), dtype=float)
-    if c.shape != (n,):
-        raise MilpError("objective length does not match variables")
-    lo = np.zeros(n) if lower is None else np.asarray(list(lower), dtype=float)
-    up = np.ones(n) if upper is None else np.asarray(list(upper), dtype=float)
+    c = _per_variable(objective, n, "objective")
+    lo = np.zeros(n) if lower is None else _per_variable(lower, n, "lower")
+    up = np.ones(n) if upper is None else _per_variable(upper, n, "upper")
     if np.any(lo > up + 1e-12):
         return LpResult("infeasible", None, None)
     rows = _index_rows(variables, constraints)
@@ -709,18 +716,17 @@ def solve_binary(
     the LPs solved.  `deadline` is a `time.monotonic()` instant checked
     before every node after the root; once it has passed, the search stops
     with status "time_limit".  A search stopped by either limit reports the
-    incumbent, if any, and a proven lower bound.
+    incumbent, if any, and a proven lower bound.  The objective and
+    `warm_start` must have one entry per variable, or `MilpError` is raised.
     """
     n = len(variables)
-    c = np.asarray(list(objective), dtype=float)
+    c = _per_variable(objective, n, "objective")
+    root_start = None if warm_start is None else _per_variable(warm_start, n, "warm_start")
     rows = _index_rows(variables, constraints)
     if node_limit is not None and node_limit <= 0:
         return BinaryResult("node_limit", None, None, 0, None)
     if (~rows.nonempty & rows.violated(np.zeros(n))).any():
         return BinaryResult("infeasible", None, None, 1, None)
-    root_start = (
-        None if warm_start is None else np.asarray(list(warm_start), dtype=float)
-    )
     lp, status, _ = _solve_root(c, rows, np.zeros(n), np.ones(n), start=root_start)
 
     inc_obj = math.inf

@@ -152,12 +152,14 @@ class TrackingConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        for name in ("interval_length", "successors_per_frame", "max_gap_frames"):
+        for name in ("interval_length", "successors_per_frame", "max_gap_frames", "jobs"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name.replace('_', ' ')} must be at least 1")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValueError("fps must be a positive finite number")
+        if not (math.isfinite(self.lift_epsilon) and self.lift_epsilon >= 0):
+            raise ValueError("lift epsilon must be a finite number of at least 0")
 
     def gap_limit(self) -> int:
         if self.max_gap_frames is not None:

@@ -276,6 +276,16 @@ def test_track_outputs_and_evaluation(tmp_path):
         ),
         pytest.param("--fps", "0", "fps must be a positive finite number", id="fps=0"),
         pytest.param("--fps", "nan", "fps must be a positive finite number", id="fps=nan"),
+        pytest.param(
+            "--lift-epsilon", "nan", "lift epsilon must be a finite number of at least 0",
+            id="lift-epsilon=nan",
+        ),
+        pytest.param(
+            "--lift-epsilon", "-1", "lift epsilon must be a finite number of at least 0",
+            id="lift-epsilon=-1",
+        ),
+        pytest.param("--jobs", "0", "jobs must be at least 1", id="jobs=0"),
+        pytest.param("--jobs", "-3", "jobs must be at least 1", id="jobs=-3"),
     ],
 )
 def test_track_rejects_an_interval_length_below_one(tmp_path, flag, value, message):

@@ -201,6 +201,24 @@ def test_binary_stops_at_the_node_limit():
     assert capped.status == "node_limit"
 
 
+@pytest.mark.parametrize(
+    "solve, objective, options",
+    [
+        pytest.param(solve_binary, [1.0], {}, id="binary-objective-1"),
+        pytest.param(solve_binary, [1.0, 1.0, 1.0], {}, id="binary-objective-3"),
+        pytest.param(solve_binary, [1.0, 1.0], {"warm_start": [1.0]}, id="binary-warm_start-1"),
+        pytest.param(solve_lp, [1.0], {}, id="lp-objective-1"),
+        pytest.param(solve_lp, [1.0, 1.0], {"lower": [0.0]}, id="lp-lower-1"),
+        pytest.param(solve_lp, [1.0, 1.0], {"upper": [1.0, 1.0, 1.0]}, id="lp-upper-3"),
+    ],
+)
+def test_per_variable_inputs_must_match_the_variables(solve, objective, options):
+    vs = handles(2)
+    rows = [LinearConstraint(tuple((h, 1.0) for h in vs), "<=", 1.5, "t")]
+    with pytest.raises(milp.MilpError, match="length does not match variables"):
+        solve(vs, objective, rows, **options)
+
+
 def test_binary_warm_start_is_only_a_hint():
     vs = handles(2)
     rows = [LinearConstraint(tuple((h, 1.0) for h in vs), "<=", 1.5, "t")]
@@ -252,6 +270,7 @@ class SimplexLog:
     def __init__(self, monkeypatch):
         self.built = 0
         self.reoptimised: list[str] = []
+        self.added: list[int] = []  # store indices of the activated rows
         self.added_in_children = 0
         self.in_child = False
         init, reoptimise, add_rows = (
@@ -275,6 +294,7 @@ class SimplexLog:
 
         def logged_add_rows(simplex, indices):
             self.added_in_children += self.in_child
+            self.added.extend(indices.tolist())
             add_rows(simplex, indices)
 
         monkeypatch.setattr(milp._Simplex, "__init__", counted_init)
@@ -299,8 +319,10 @@ def test_parity_programs_branch_into_infeasible_children(monkeypatch):
     assert log.built == calls
 
 
-def test_lazy_rows_and_branching_agree_with_enumeration(monkeypatch):
-    assert milp._LAZY_ROW_THRESHOLD < 430
+def lazy_program(repeats: bool):
+    """430 rows over 10 binaries, so most start pending: one equality and
+    parity rows with coefficient 2.  With `repeats`, about a third of the
+    parity rows repeat a handle, cancelling its term or adding 1 to it."""
     rng = random.Random(0)
     vs = handles(10)
     objective = [float(rng.randint(-3, 1)) for _ in vs]
@@ -308,19 +330,35 @@ def test_lazy_rows_and_branching_agree_with_enumeration(monkeypatch):
     while len(rows) < 430:
         picked = rng.sample(vs, rng.randint(2, 4))
         rhs = float(2 * rng.randint(1, len(picked) - 1) + 1)
-        rows.append(LinearConstraint(tuple((h, 2.0) for h in picked), "<=", rhs, "t"))
-    log = SimplexLog(monkeypatch)
-    mine = solve_binary(vs, objective, rows)
-    assert mine.status == "optimal"
-    assert mine.nodes_explored > 1
-    assert log.built == 1
-    assert log.added_in_children > 0, "no row was activated below the root"
-    assert_matches_enumeration(vs, objective, rows, mine)
-    relaxed = solve_lp(vs, objective, rows)
-    assert relaxed.status == "optimal"
-    assert relaxed.objective == pytest.approx(
-        oracles.lp_reference(vs, objective, rows).fun, abs=1e-6
-    )
+        terms = [(h, 2.0) for h in picked]
+        if repeats and rng.random() < 0.3:
+            terms.append((picked[0], rng.choice((-2.0, 1.0))))
+        rows.append(LinearConstraint(tuple(terms), "<=", rhs, "t"))
+    return vs, objective, rows
+
+
+def test_lazy_rows_and_branching_agree_with_enumeration(monkeypatch):
+    assert milp._LAZY_ROW_THRESHOLD < 430
+    for repeats in (False, True):
+        vs, objective, rows = lazy_program(repeats)
+        with monkeypatch.context() as patch:
+            log = SimplexLog(patch)
+            mine = solve_binary(vs, objective, rows)
+        assert mine.status == "optimal"
+        assert mine.nodes_explored > 1
+        assert log.built == 1
+        assert log.added_in_children > 0, "no row was activated below the root"
+        # The coefficient each activated row with a repeated handle appends.
+        kinds = {
+            rows[i].terms[-1][1] for i in log.added if len(dict(rows[i].terms)) < len(rows[i].terms)
+        }
+        assert kinds == ({-2.0, 1.0} if repeats else set())
+        assert_matches_enumeration(vs, objective, rows, mine)
+        relaxed = solve_lp(vs, objective, rows)
+        assert relaxed.status == "optimal"
+        assert relaxed.objective == pytest.approx(
+            oracles.lp_reference(vs, objective, rows).fun, abs=1e-6
+        )
 
 
 def test_binary_deadline_stops_after_the_root():

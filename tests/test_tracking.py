@@ -67,6 +67,11 @@ def test_gap_bands_widen_in_steps():
         pytest.param("fps", -5.0, "fps must be", id="fps=-5"),
         pytest.param("fps", math.nan, "fps must be", id="fps=nan"),
         pytest.param("fps", math.inf, "fps must be", id="fps=inf"),
+        pytest.param("lift_epsilon", math.nan, "lift epsilon must be", id="lift_epsilon=nan"),
+        pytest.param("lift_epsilon", math.inf, "lift epsilon must be", id="lift_epsilon=inf"),
+        pytest.param("lift_epsilon", -0.1, "lift epsilon must be", id="lift_epsilon=-0.1"),
+        pytest.param("jobs", 0, "jobs must be at least 1", id="jobs=0"),
+        pytest.param("jobs", -3, "jobs must be at least 1", id="jobs=-3"),
     ],
 )
 def test_interval_length_below_one_is_rejected(knob, value, message):
