@@ -53,6 +53,7 @@ from .oracle import (
     enumerate_feasible,
 )
 from .reductions import (
+    DecisionLimitError,
     McfProblem,
     McfReduction,
     ReductionError,
@@ -145,6 +146,7 @@ __all__ = [
     "brute_force_optimum",
     # reductions
     "ReductionError",
+    "DecisionLimitError",
     "SatReduction",
     "reduce_sat",
     "decide_sat",

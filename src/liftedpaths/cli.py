@@ -21,6 +21,7 @@ from .instance import (
 )
 from .oracle import OracleLimitError, brute_force_optimum
 from .reductions import (
+    DecisionLimitError,
     ReductionError,
     decide_mcf,
     decide_sat,
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     except (OSError, InstanceError, ReductionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    except (OracleLimitError, BudgetError) as exc:
+    except (OracleLimitError, BudgetError, DecisionLimitError) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return _EXIT_LIMIT
     raise AssertionError("unreachable")

@@ -2,14 +2,20 @@
 
 The master problem is a binary program over node indicators, base-edge flow
 variables and lifted-edge labels.  It starts from the always-valid rows
-(flow conservation, the two single-node cuts per lifted edge, and the
-per-frame label bounds when frame data is present) and alternates
+(flow conservation, the two single-node cuts per lifted edge, the per-frame
+label bounds when frame data is present, and the path inequalities of one-
+and two-edge witness paths) and alternates
 
     solve master  ->  separate at the integral optimum  ->  add cuts
 
 until neither separation routine finds anything, at which point the master
 optimum is an optimum of the full problem: the separators are complete, so
 an unviolated integral point carries exactly the labels its flow realizes.
+
+The pool is one row store (`milp._RowStore`).  `build_initial_constraints`
+writes the starting rows into it as arrays, straight from the instance, and
+each round appends only the separated rows that are new; only those are
+keyed for deduplication.  The master reads the store as it is.
 
 The master objective is monotonically non-decreasing over rounds, and every
 round must contribute at least one previously unseen cut — both facts are
@@ -20,19 +26,31 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .constraints import (
+    TAG_CUT_IN,
+    TAG_CUT_OUT,
+    TAG_FLOW,
+    TAG_LIFTED_FLOW,
+    TAG_PATH,
     base_var,
-    build_flow_conservation,
-    build_lifted_flow_inequalities,
-    build_path_inequality,
-    build_single_node_cut,
     lift_var,
     node_var,
 )
-from .instance import SINK, FlowSolution, Instance
-from .milp import LinearConstraint, MilpError, VariableHandle, solve_binary
+from .instance import SINK, SOURCE, FlowSolution, Instance
+from .milp import (
+    _SENSE_EQ,
+    _SENSE_GE,
+    _SENSE_LE,
+    LinearConstraint,
+    MilpError,
+    VariableHandle,
+    _RowStore,
+    solve_binary,
+)
 from .separation import separate_lifted_cut, separate_lifted_path
 
 __all__ = [
@@ -91,12 +109,15 @@ class RoundStats:
 
 @dataclass
 class SolveResult:
+    """`cuts` is the whole final pool, initial rows and separated rows: a
+    row store that yields each row as a `LinearConstraint` when read."""
+
     status: str
     solution: FlowSolution | None
     objective: float | None
     rounds: int
     trace: list[RoundStats]
-    cuts: tuple[LinearConstraint, ...]
+    cuts: Sequence[LinearConstraint]
     certified: bool
 
 
@@ -118,50 +139,110 @@ def master_variables(
 
 def build_initial_constraints(
     instance: Instance, config: SolverConfig | None = None
-) -> list[LinearConstraint]:
-    """The always-valid starting pool: conservation, single-node cuts, and
-    (when frames are available and not disabled) per-frame label bounds."""
+) -> _RowStore:
+    """The always-valid starting pool, as a row store over `master_variables`:
+    flow conservation, the two single-node cuts per lifted edge, the
+    per-frame label bounds (when frames are available and not disabled) and
+    the path inequalities of one- and two-edge witness paths.
+
+    The rows are written straight from the edge lists and reachability, in
+    the row and term order of the per-row builders in `constraints`.  A
+    lifted edge's cut-in row is left out when its base edges are those of
+    its cut-out row; that is the only way two of these rows can be equal.
+    """
     config = config or SolverConfig()
-    reach = instance.reachability
-    rows: list[LinearConstraint] = []
+    n = instance.n
+    lift0 = n + len(instance.base_edges)  # column of lift[0]
+    out_edges, in_edges = instance.out_edges, instance.in_edges
+    count: list[int] = []
+    col: list[int] = []
+    val: list[float] = []
+    sense: list[int] = []
+    tag: list[int] = []
+
+    def add(cols: list[int], vals: list[float], row_sense: int, row_tag: int) -> None:
+        count.append(len(cols))
+        col.extend(cols)
+        val.extend(vals)
+        sense.append(row_sense)
+        tag.append(row_tag)
+
     for v in instance.inner_nodes():
-        rows.extend(build_flow_conservation(instance, v))
-    for li in range(len(instance.lifted_edges)):
-        rows.append(build_single_node_cut(instance, reach, li, "out_of_v"))
-        rows.append(build_single_node_cut(instance, reach, li, "into_w"))
+        for edges in (in_edges[v], out_edges[v]):
+            # inflow (outflow) - x_v == 0
+            add([n + e for e, _ in edges] + [v - 1], [1.0] * len(edges) + [-1.0], _SENSE_EQ, _FLOW)
+
+    reach = instance.reachability.row
+    for li, (v, w, _) in enumerate(instance.lifted_edges):
+        cut_out = [n + e for e, u in out_edges[v] if reach(u) >> w & 1]
+        add([lift0 + li] + cut_out, [1.0] + [-1.0] * len(cut_out), _SENSE_LE, _CUT_OUT)
+        from_v = reach(v)
+        cut_in = [n + e for e, u in in_edges[w] if u != SOURCE and from_v >> u & 1]
+        if len(cut_in) != len(cut_out) or set(cut_in) != set(cut_out):
+            add([lift0 + li] + cut_in, [1.0] + [-1.0] * len(cut_in), _SENSE_LE, _CUT_IN)
+
     want_frames = (
         instance.frames is not None
         if config.lifted_flow is None
         else config.lifted_flow
     )
     if want_frames:
-        rows.extend(build_lifted_flow_inequalities(instance))
-    rows.extend(_short_path_rows(instance))
-    return rows
+        if not instance.frames:
+            raise ValueError("lifted-flow inequalities need frame annotations")
+        frames = instance.frames
+        for v in instance.inner_nodes():
+            for lifted in (instance.lifted_out.get(v, ()), instance.lifted_in.get(v, ())):
+                by_frame: dict[int, list[int]] = {}
+                for li, u in lifted:
+                    by_frame.setdefault(frames[u], []).append(li)
+                for f in sorted(by_frame):
+                    # v's labels to (from) the nodes of frame f - x_v <= 0
+                    lis = sorted(by_frame[f])
+                    add(
+                        [lift0 + li for li in lis] + [v - 1],
+                        [1.0] * len(lis) + [-1.0],
+                        _SENSE_LE,
+                        _LIFTED_FLOW,
+                    )
+
+    # Path inequalities for one- and two-edge witness paths: the shortest
+    # members of the general family and the ones the LP relaxation violates
+    # first on labels that undershoot realized connectivity; seeding them
+    # saves several cutting rounds per solve.
+    base_index = instance.base_index
+    two_hop: list[tuple[int, int | None, int, int, int]] = []
+    for li, (v, w, _) in enumerate(instance.lifted_edges):
+        vw = base_index.get((v, w))
+        if vw is not None:
+            add([lift0 + li, n + vw], [1.0, -1.0], _SENSE_GE, _PATH)
+        for v_mid, mid in out_edges[v]:
+            mid_w = base_index.get((mid, w))
+            if mid != SINK and mid_w is not None:
+                two_hop.append((li, vw, v_mid, mid, mid_w))
+    for li, vw, v_mid, mid, mid_w in two_hop[:_TWO_HOP_ROW_BUDGET]:
+        # y'_vw - (flow from v onto the path) + (flow leaving it at mid) >= 0.
+        # Edge lists run in edge-index order, and mid's only out-edge back
+        # onto the path is (mid, w): v -> mid -> v would be a cycle.
+        onto = [n + v_mid] if vw is None else sorted((n + v_mid, n + vw))
+        leaving = [n + e for e, _ in out_edges[mid] if e != mid_w]
+        add(
+            [lift0 + li] + onto + leaving,
+            [1.0] + [-1.0] * len(onto) + [1.0] * len(leaving),
+            _SENSE_GE,
+            _PATH,
+        )
+
+    return _RowStore(
+        master_variables(instance)[0], count, col, val, sense, [0.0] * len(count), tag, _TAGS
+    )
 
 
 #: Cap on preseeded two-hop rows; past it, separation finds them on demand.
 _TWO_HOP_ROW_BUDGET = 2000
 
-
-def _short_path_rows(instance: Instance) -> list[LinearConstraint]:
-    """Path inequalities for one- and two-edge witness paths.
-
-    These are the shortest members of the general family and the ones the
-    LP relaxation violates first on labels that undershoot realized
-    connectivity; seeding them saves several cutting rounds per solve.
-    """
-    rows: list[LinearConstraint] = []
-    two_hop: list[tuple[int, tuple[int, int, int]]] = []
-    for li, (v, w, _) in enumerate(instance.lifted_edges):
-        if (v, w) in instance.base_index:
-            rows.append(build_path_inequality(instance, li, (v, w)))
-        for _, mid in instance.out_edges[v]:
-            if mid != SINK and (mid, w) in instance.base_index:
-                two_hop.append((li, (v, mid, w)))
-    for li, nodes in two_hop[:_TWO_HOP_ROW_BUDGET]:
-        rows.append(build_path_inequality(instance, li, nodes))
-    return rows
+#: Tag codes of the initial rows, indices into `_TAGS`.
+_TAGS = (TAG_FLOW, TAG_CUT_OUT, TAG_CUT_IN, TAG_LIFTED_FLOW, TAG_PATH)
+_FLOW, _CUT_OUT, _CUT_IN, _LIFTED_FLOW, _PATH = range(len(_TAGS))
 
 
 def certify(
@@ -192,7 +273,7 @@ def _solution_from_values(instance: Instance, values) -> FlowSolution:
 def solve(
     instance: Instance,
     config: SolverConfig | None = None,
-    initial_cuts: tuple[LinearConstraint, ...] = (),
+    initial_cuts: Sequence[LinearConstraint] = (),
 ) -> SolveResult:
     """Run the cutting-plane loop to optimality (or a configured limit).
 
@@ -204,13 +285,14 @@ def solve(
     deadline = None if config.time_limit is None else started + config.time_limit
     variables, objective = master_variables(instance)
 
-    pool: list[LinearConstraint] = []
+    pool = build_initial_constraints(instance, config)
+    # The initial rows are distinct, and the master satisfies every pool row,
+    # so a separated row can only repeat another separated row: only those
+    # are keyed, unless extra rows must be checked against the pool.
     seen: set = set()
-    for row in list(build_initial_constraints(instance, config)) + list(initial_cuts):
-        key = row.key()
-        if key not in seen:
-            seen.add(key)
-            pool.append(row)
+    if initial_cuts:
+        seen = {row.key() for row in pool}
+        pool.extend(_unseen(initial_cuts, seen))
 
     trace: list[RoundStats] = []
     best: FlowSolution | None = None
@@ -251,14 +333,9 @@ def solve(
         rep_path = separate_lifted_path(instance, best)
         rep_cut = separate_lifted_cut(instance, best, config.include_symmetric)
         found = rep_path.constraints + rep_cut.constraints
-        added: dict[str, int] = {}
-        for row in found:
-            key = row.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            pool.append(row)
-            added[row.tag] = added.get(row.tag, 0) + 1
+        fresh = _unseen(found, seen)
+        pool.extend(fresh)
+        added = Counter(row.tag for row in fresh)
         trace.append(
             RoundStats(
                 round=rounds,
@@ -285,6 +362,18 @@ def solve(
         objective=None if best is None else best.objective,
         rounds=rounds,
         trace=trace,
-        cuts=tuple(pool),
+        cuts=pool,
         certified=certified,
     )
+
+
+def _unseen(rows, seen: set) -> list[LinearConstraint]:
+    """The rows whose `key()` is not in `seen`, first copies only; their keys
+    join `seen`."""
+    fresh = []
+    for row in rows:
+        key = row.key()
+        if key not in seen:
+            seen.add(key)
+            fresh.append(row)
+    return fresh

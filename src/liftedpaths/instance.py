@@ -271,39 +271,45 @@ class Reachability:
 
     Small instances get a dense bitset table (one Python int per node, bit w
     set iff v reaches w).  Larger ones compute rows on demand, memoized, so
-    memory stays proportional to the rows actually touched.
+    memory stays proportional to the rows actually touched.  Only `n` and the
+    out-edge lists are kept, not the instance: the instance caches its
+    reachability, and a reference back would make a cycle.
     """
 
     def __init__(self, instance: Instance, _bitset_limit: int = _BITSET_LIMIT):
-        self._inst = instance
+        self._n = instance.n
+        self._out_edges = instance.out_edges
         self._rows: dict[int, int] = {}
         self._dense = instance.n <= _bitset_limit
         if self._dense:
-            self._fill_dense()
+            self._fill_dense(instance.topo_order)
 
     def _bit(self, v: int) -> int:
         # source -> bit 0, inner v -> bit v, sink -> bit n+1
-        return self._inst.n + 1 if v == SINK else v
+        return self._n + 1 if v == SINK else v
 
-    def _fill_dense(self) -> None:
-        inst = self._inst
+    def _fill_dense(self, topo_order: tuple[int, ...]) -> None:
+        out_edges = self._out_edges
         rows = self._rows
         rows[SINK] = 1 << self._bit(SINK)
-        for v in reversed(inst.topo_order):
+        for v in reversed(topo_order):
             mask = 1 << v
-            for _, w in inst.out_edges[v]:
+            for _, w in out_edges[v]:
                 mask |= rows[w]
             rows[v] = mask
         mask = 1 << self._bit(SOURCE)
-        for _, w in inst.out_edges[SOURCE]:
+        for _, w in out_edges[SOURCE]:
             mask |= rows[w]
         rows[SOURCE] = mask
 
-    def _row(self, v: int) -> int:
+    def row(self, v: int) -> int:
+        """Bitmask of the nodes v reaches: bit w for inner w, bit 0 for the
+        source and bit n+1 for the sink."""
         rows = self._rows
         if v in rows:
             return rows[v]
         # Iterative post-order: compute all uncached rows below v once.
+        out_edges = self._out_edges
         stack: list[tuple[int, bool]] = [(v, False)]
         while stack:
             node, expanded = stack.pop()
@@ -311,12 +317,12 @@ class Reachability:
                 continue
             if expanded:
                 mask = 1 << self._bit(node)
-                for _, w in self._inst.out_edges.get(node, ()):
+                for _, w in out_edges.get(node, ()):
                     mask |= rows[w]
                 rows[node] = mask
             else:
                 stack.append((node, True))
-                for _, w in self._inst.out_edges.get(node, ()):
+                for _, w in out_edges.get(node, ()):
                     if w not in rows:
                         stack.append((w, False))
         return rows[v]
@@ -326,7 +332,7 @@ class Reachability:
             return True
         if v == SINK:
             return False
-        return bool((self._row(v) >> self._bit(w)) & 1)
+        return bool((self.row(v) >> self._bit(w)) & 1)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return self.reaches(*pair)

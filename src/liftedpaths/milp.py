@@ -22,22 +22,27 @@ the largest objective stake, and a node whose bound is within 1e-9 of the
 incumbent is pruned.  No cut generation happens here; callers add their own
 rows.
 
-Each solve keeps its rows in one array store built by `_index_rows` (entry
-row, column and coefficient arrays, plus sense and right-hand-side arrays).
-The LP matrix, crash point, lazy activation and integral re-check read it,
-and `_RowStore.violated` alone decides row violation.  The only presolve is
-dropping empty rows, after checking that they are satisfiable.  The LP
-matrix is a dense column-major block of the initial rows (8*m*ncols bytes,
-beside the m x m basis inverse) plus the appended rows' store entries.
+Each solve keeps its rows in one array store, `_RowStore` (entry row, column
+and coefficient arrays, plus sense, right-hand-side and tag arrays).  The
+solvers take either such a store, as the cutting-plane driver builds and
+extends for its pool, or a sequence of `LinearConstraint`s, which they index
+into one.  The LP matrix, crash point, lazy activation and integral re-check
+read it, and `_RowStore.violated` alone decides row violation.  The only
+presolve is dropping empty rows, after checking that they are satisfiable.
+The LP matrix is a dense column-major block of the initial rows
+(8*m*ncols bytes, beside the m x m basis inverse) plus the appended rows'
+store entries.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +55,7 @@ _SENSE_LE = 0
 _SENSE_EQ = 1
 _SENSE_GE = 2
 _SENSES = {"<=": _SENSE_LE, "=": _SENSE_EQ, ">=": _SENSE_GE}
+_SENSE_NAMES = ("<=", "=", ">=")
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -163,19 +169,89 @@ class BinaryResult:
 _LAZY_ROW_THRESHOLD = 400
 
 
-class _RowStore:
-    """Every row of one solve as flat arrays.
+class _RowStore(Sequence):
+    """Every row of one solve as flat arrays over the columns `variables`.
 
-    Entry k puts `val[k]` at row `row[k]`, column `col[k]`; entries are
-    row-major in the caller's row order.  A handle repeated within a row
-    stays two entries: every use of the store is linear, so they add up.
-    A row with no entries is empty; one whose coefficients cancel is not.
+    Row i has `count[i]` entries; entry k puts `val[k]` at row `row[k]`,
+    column `col[k]`, and entries are row-major in row order.  Each row has a
+    sense code, a right-hand side and a code into `tags`.  A handle repeated
+    within a row stays two entries: every use of the store is linear, so
+    they add up.  A row with no entries is empty; one whose coefficients
+    cancel is not.  As a sequence, the store yields a `LinearConstraint`
+    view of each row, built when it is read.
     """
 
-    def __init__(self, row, col, val, sense, rhs):
-        self.row, self.col, self.val = row, col, val
-        self.sense, self.rhs = sense, rhs
-        self.nonempty = np.bincount(row, minlength=len(rhs)) > 0
+    def __init__(
+        self, variables, count=(), col=(), val=(), sense=(), rhs=(), tag=(), tags=()
+    ):
+        self.variables = variables
+        self.tags = list(tags)
+        self._col_of: dict[VariableHandle, int] | None = None
+        self._set(count, col, val, sense, rhs, tag)
+
+    def _set(self, count, col, val, sense, rhs, tag) -> None:
+        self.count = np.asarray(count, dtype=np.int64)
+        self.row = np.repeat(np.arange(len(self.count)), self.count)
+        self.start = np.concatenate([[0], np.cumsum(self.count)])
+        self.col = np.asarray(col, dtype=np.int64)
+        self.val = np.asarray(val, dtype=float)
+        self.sense = np.asarray(sense, dtype=np.int64)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.tag = np.asarray(tag, dtype=np.int64)
+        self.nonempty = self.count > 0
+
+    def extend(self, constraints: Iterable[LinearConstraint]) -> None:
+        """Append `constraints` as rows, one entry per term in term order."""
+        if self._col_of is None:
+            self._col_of = {h: i for i, h in enumerate(self.variables)}
+            if len(self._col_of) != len(self.variables):
+                raise MilpError("duplicate variable handles")
+        col_of = self._col_of
+        codes = {t: k for k, t in enumerate(self.tags)}
+        count: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
+        sense: list[int] = []
+        rhs: list[float] = []
+        tag: list[int] = []
+        try:
+            for con in constraints:
+                for h, c in con.terms:
+                    cols.append(col_of[h])
+                    vals.append(c)
+                count.append(len(con.terms))
+                sense.append(_SENSES[con.sense])
+                rhs.append(con.rhs)
+                tag.append(codes.setdefault(con.tag, len(codes)))
+        except KeyError as exc:
+            raise MilpError(f"constraint references unknown handle {exc.args[0].label()}") from None
+        self.tags = list(codes)
+        old = (self.count, self.col, self.val, self.sense, self.rhs, self.tag)
+        new = (count, cols, vals, sense, rhs, tag)
+        self._set(*(np.concatenate([a, np.array(b, dtype=a.dtype)]) for a, b in zip(old, new)))
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def __getitem__(self, i: int) -> LinearConstraint:
+        i = range(len(self))[operator.index(i)]
+        s, e = self.start[i], self.start[i + 1]
+        return self._view(self.col[s:e].tolist(), self.val[s:e].tolist(), i)
+
+    def __iter__(self) -> Iterator[LinearConstraint]:
+        cols, vals, start = self.col.tolist(), self.val.tolist(), self.start.tolist()
+        for i in range(len(self)):
+            s, e = start[i], start[i + 1]
+            yield self._view(cols[s:e], vals[s:e], i)
+
+    def _view(self, cols: list[int], vals: list[float], i: int) -> LinearConstraint:
+        handles = self.variables
+        return LinearConstraint(
+            tuple(zip([handles[j] for j in cols], vals)),
+            _SENSE_NAMES[self.sense[i]],
+            float(self.rhs[i]),
+            self.tags[self.tag[i]],
+        )
 
     def lhs(self, values: np.ndarray) -> np.ndarray:
         return np.bincount(self.row, self.val * values[self.col], minlength=len(self.rhs))
@@ -600,29 +676,20 @@ class _Simplex:
 # ---------------------------------------------------------------------------
 
 
-def _index_rows(
+def _row_store(
     variables: Sequence[VariableHandle],
     constraints: Sequence[LinearConstraint],
 ) -> _RowStore:
-    col = {h: i for i, h in enumerate(variables)}
-    if len(col) != len(variables):
-        raise MilpError("duplicate variable handles")
-    cols: list[int] = []
-    vals: list[float] = []
-    try:
-        for con in constraints:
-            for h, c in con.terms:
-                cols.append(col[h])
-                vals.append(c)
-    except KeyError as exc:
-        raise MilpError(f"constraint references unknown handle {exc.args[0].label()}") from None
-    return _RowStore(
-        np.repeat(np.arange(len(constraints)), [len(con.terms) for con in constraints]),
-        np.array(cols, dtype=np.int64),
-        np.array(vals, dtype=float),
-        np.array([_SENSES[con.sense] for con in constraints], dtype=np.int64),
-        np.array([con.rhs for con in constraints], dtype=float),
-    )
+    """`constraints` itself when it is a store over `variables`, else a new
+    store of its rows."""
+    if isinstance(constraints, _RowStore):
+        built_for = constraints.variables
+        if built_for is not variables and list(built_for) != list(variables):
+            raise MilpError("row store was built over other variables")
+        return constraints
+    rows = _RowStore(variables)
+    rows.extend(constraints)
+    return rows
 
 
 def _per_variable(values: Sequence[float], n: int, name: str) -> np.ndarray:
@@ -666,7 +733,8 @@ def solve_lp(
     upper: Sequence[float] | None = None,
     iteration_limit: int | None = None,
 ) -> LpResult:
-    """Minimize over the box [0,1]^n (or the given bounds) under `constraints`.
+    """Minimize over the box [0,1]^n (or the given bounds) under `constraints`,
+    a sequence of `LinearConstraint`s or a row store over `variables`.
 
     The returned vertex satisfies every given constraint to within 1e-9
     (large sets are handled by activating inequality rows on violation, which
@@ -682,7 +750,7 @@ def solve_lp(
     up = np.ones(n) if upper is None else _per_variable(upper, n, "upper")
     if np.any(lo > up + 1e-12):
         return LpResult("infeasible", None, None)
-    rows = _index_rows(variables, constraints)
+    rows = _row_store(variables, constraints)
     bad = np.flatnonzero(~rows.nonempty & rows.violated(np.zeros(n)))
     if bad.size:
         return LpResult("infeasible", None, None, infeasible_constraint=int(bad[0]))
@@ -709,7 +777,8 @@ def solve_binary(
     warm_start: Sequence[float] | None = None,
     deadline: float | None = None,
 ) -> BinaryResult:
-    """Minimize over {0,1}^n subject to `constraints` (exact, best-first).
+    """Minimize over {0,1}^n subject to `constraints` (exact, best-first), a
+    sequence of `LinearConstraint`s or a row store over `variables`.
 
     `warm_start` seeds the root LP's crash point (a hint, not a bound); any
     vector of per-variable values in [0, 1] is accepted.  `node_limit` caps
@@ -722,7 +791,7 @@ def solve_binary(
     n = len(variables)
     c = _per_variable(objective, n, "objective")
     root_start = None if warm_start is None else _per_variable(warm_start, n, "warm_start")
-    rows = _index_rows(variables, constraints)
+    rows = _row_store(variables, constraints)
     if node_limit is not None and node_limit <= 0:
         return BinaryResult("node_limit", None, None, 0, None)
     if (~rows.nonempty & rows.violated(np.zeros(n))).any():

@@ -40,6 +40,7 @@ from .instance import (
 
 __all__ = [
     "ReductionError",
+    "DecisionLimitError",
     "parse_dimacs",
     "SatReduction",
     "reduce_sat",
@@ -56,6 +57,15 @@ _DECISION_TOL = 1e-9
 
 class ReductionError(ValueError):
     """Invalid input for a reduction (malformed formula or network)."""
+
+
+class DecisionLimitError(RuntimeError):
+    """The reduced instance's solve hit a configured limit before it could
+    decide; `status` is the solve's status."""
+
+    def __init__(self, status: str):
+        super().__init__(f"reduction solve ended with status {status}")
+        self.status = status
 
 
 def _prune_to_routes(
@@ -243,7 +253,7 @@ def decide_sat(
     reduction = reduce_sat(clauses)
     result = solve(reduction.instance, config)
     if result.status != "optimal":
-        raise RuntimeError(f"reduction solve ended with status {result.status}")
+        raise DecisionLimitError(result.status)
     if result.objective > reduction.threshold + _DECISION_TOL:
         return False, None
     assignment: dict[int, bool] | None = None
@@ -410,5 +420,5 @@ def decide_mcf(problem: McfProblem, config: SolverConfig | None = None) -> bool:
     reduction = reduce_mcf(problem)
     result = solve(reduction.instance, config)
     if result.status != "optimal":
-        raise RuntimeError(f"reduction solve ended with status {result.status}")
+        raise DecisionLimitError(result.status)
     return result.objective <= reduction.threshold + _DECISION_TOL

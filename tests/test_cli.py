@@ -204,6 +204,19 @@ def test_decide_mcf_exit_codes(tmp_path):
     assert out == "not routable\n"
 
 
+def test_decide_on_a_round_limit_exits_four(tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    code, out, err = run_cli("decide", "sat", str(cnf), "--rounds", "0")
+    assert (code, out) == (4, "")
+    assert err == "limit: reduction solve ended with status round_limit\n"
+    net = tmp_path / "net.mcf"
+    net.write_text(NET_TEXT)
+    code, out, err = run_cli("decide", "mcf", str(net), "--rounds", "0")
+    assert (code, out) == (4, "")
+    assert err == "limit: reduction solve ended with status round_limit\n"
+
+
 def test_decide_sat_prints_assignment(tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(CNF_TEXT)

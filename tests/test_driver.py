@@ -22,10 +22,15 @@ from generators import (
 )
 from liftedpaths import driver, milp
 from liftedpaths.constraints import (
+    TAG_CUT_IN,
+    TAG_CUT_OUT,
     TAG_PATH,
     SolutionValues,
     base_var,
+    build_flow_conservation,
+    build_lifted_flow_inequalities,
     build_path_inequality,
+    build_single_node_cut,
     lift_var,
     node_var,
 )
@@ -144,6 +149,9 @@ def test_the_returned_cut_pool_certifies_in_one_round():
     assert again.rounds == 1
     assert again.certified
     assert again.objective == pytest.approx(first.objective, abs=1e-9)
+    # every row of the pool is already in the new pool, in the same order
+    assert len(again.cuts) == len(first.cuts)
+    assert list(again.cuts) == list(first.cuts)
 
 
 @settings(max_examples=20, deadline=None)
@@ -198,13 +206,19 @@ def test_master_variables_align_with_the_cost_vector():
     assert dict(zip(variables, costs)) == expected
 
 
-def test_two_hop_seeding_keeps_the_first_rows_past_the_budget():
-    # three complete layers: every first-to-last lifted pair has 21 two-hop paths
+def layered_instance() -> Instance:
+    """Three complete layers: every first-to-last lifted pair has 21 two-hop
+    paths, 2,100 in all."""
     first, middle, last = range(1, 11), range(11, 32), range(32, 42)
     base = [(SOURCE, v, 0.0) for v in first] + [(v, SINK, 0.0) for v in last]
     base += [(u, v, 0.0) for u in first for v in middle]
     base += [(u, v, 0.0) for u in middle for v in last]
-    inst = Instance(41, base, [(v, w, -1.0) for v in first for w in last])
+    return Instance(41, base, [(v, w, -1.0) for v in first for w in last])
+
+
+def test_two_hop_seeding_keeps_the_first_rows_past_the_budget():
+    first, middle, last = range(1, 11), range(11, 32), range(32, 42)
+    inst = layered_instance()
     candidates = [
         (li, (v, mid, w))
         for li, (v, w, _) in enumerate(inst.lifted_edges)
@@ -215,3 +229,96 @@ def test_two_hop_seeding_keeps_the_first_rows_past_the_budget():
     assert seeded == [
         build_path_inequality(inst, li, nodes) for li, nodes in candidates[:2000]
     ]
+
+
+def with_frames(inst: Instance) -> Instance:
+    """The same instance, each node framed at its longest-path depth, so
+    that nodes share frames."""
+    depth = {}
+    for v in inst.topo_order:
+        depth[v] = 1 + max((depth[u] for _, u in inst.in_edges[v] if u != SOURCE), default=0)
+    return Instance(
+        inst.n, inst.base_edges, inst.lifted_edges,
+        {v: c for v, c in enumerate(inst.node_costs) if v}, depth,
+    )
+
+
+def reference_initial_rows(inst: Instance, config: SolverConfig):
+    """The initial pool from the per-row builders after `key()` dedup, and
+    each dropped row paired with the row it repeats."""
+    reach = inst.reachability
+    rows = []
+    for v in inst.inner_nodes():
+        rows.extend(build_flow_conservation(inst, v))
+    for li in range(len(inst.lifted_edges)):
+        rows.append(build_single_node_cut(inst, reach, li, "out_of_v"))
+        rows.append(build_single_node_cut(inst, reach, li, "into_w"))
+    if inst.frames is not None if config.lifted_flow is None else config.lifted_flow:
+        rows.extend(build_lifted_flow_inequalities(inst))
+    two_hop = []
+    for li, (v, w, _) in enumerate(inst.lifted_edges):
+        if (v, w) in inst.base_index:
+            rows.append(build_path_inequality(inst, li, (v, w)))
+        for _, mid in inst.out_edges[v]:
+            if mid != SINK and (mid, w) in inst.base_index:
+                two_hop.append((li, (v, mid, w)))
+    for li, nodes in two_hop[: driver._TWO_HOP_ROW_BUDGET]:
+        rows.append(build_path_inequality(inst, li, nodes))
+    first, kept, dropped = {}, [], []
+    for row in rows:
+        if row.key() in first:
+            dropped.append((row, first[row.key()]))
+        else:
+            first[row.key()] = row
+            kept.append(row)
+    return kept, dropped
+
+
+def assert_store_matches_the_reference(inst: Instance, config: SolverConfig) -> int:
+    """Row for row and term for term, the arrays included; returns the
+    number of rows dedup dropped."""
+    try:
+        kept, dropped = reference_initial_rows(inst, config)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            build_initial_constraints(inst, config)
+        return 0
+    store = build_initial_constraints(inst, config)
+    assert len(store) == len(kept)
+    assert list(store) == kept
+    assert [store[i] for i in range(-len(kept), 0)] == kept
+    indexed = milp._row_store(master_variables(inst)[0], kept)
+    for name in ("row", "col", "val", "sense", "rhs"):
+        ours, theirs = getattr(store, name), getattr(indexed, name)
+        assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist(), name
+    for row, repeated in dropped:
+        # only a cut-in row equal to its own lifted edge's cut-out row
+        assert (row.tag, repeated.tag) == (TAG_CUT_IN, TAG_CUT_OUT)
+        assert row.terms[0] == repeated.terms[0]
+    return len(dropped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.booleans(), st.sampled_from([None, True, False]))
+def test_the_array_builder_matches_the_per_row_builders(seed, framed, lifted_flow):
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_inner=10, max_base=24, max_lift=8)
+    if framed:
+        inst = with_frames(inst)
+    assert_store_matches_the_reference(inst, SolverConfig(lifted_flow=lifted_flow))
+
+
+def test_the_array_builder_matches_past_the_two_hop_budget():
+    inst = layered_instance()
+    assert_store_matches_the_reference(inst, SolverConfig())
+    framed = with_frames(inst)
+    assert_store_matches_the_reference(framed, SolverConfig())
+
+
+def test_the_array_builder_drops_cut_in_rows_that_repeat_their_cut_out_row():
+    rng = random.Random(5)
+    dropped = sum(
+        assert_store_matches_the_reference(random_instance(rng), SolverConfig())
+        for _ in range(40)
+    )
+    assert dropped > 0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,18 @@ def test_on_demand_reachability_matches_the_dense_table(seed):
     rng.shuffle(pairs)  # rows are memoized in whatever order they are asked for
     for v, w in pairs:
         assert on_demand.reaches(v, w) == dense.reaches(v, w)
+
+
+def test_an_instance_with_reachability_is_freed_without_the_collector():
+    inst = framed_instance()
+    assert inst.reachability.reaches(1, inst.n)
+    ref = weakref.ref(inst)
+    gc.disable()
+    try:
+        del inst
+        assert ref() is None, "a reference cycle keeps the instance alive"
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=40, deadline=None)

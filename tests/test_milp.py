@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from generators import framed_instance
 from liftedpaths import milp
+from liftedpaths.driver import build_initial_constraints, master_variables
 from liftedpaths.milp import (
     LinearConstraint,
     VariableHandle,
@@ -376,3 +378,17 @@ def test_binary_deadline_stops_after_the_root():
     ahead = solve_binary(vs, [-1.0, -1.0], rows, deadline=math.inf)
     assert ahead.status == "optimal"
     assert ahead.objective == pytest.approx(full.objective)
+
+
+def test_a_row_store_solves_like_its_rows():
+    inst = framed_instance()
+    variables, costs = master_variables(inst)
+    store = build_initial_constraints(inst)
+    views = list(store)
+    for solver in (solve_lp, solve_binary):
+        a, b = solver(variables, costs, store), solver(variables, costs, views)
+        assert a.status == b.status == "optimal"
+        assert a.objective == b.objective
+        assert a.values.tolist() == b.values.tolist()
+    with pytest.raises(milp.MilpError, match="other variables"):
+        solve_lp(variables[::-1], costs[::-1], store)

@@ -16,9 +16,10 @@ from generators import (
     random_net,
     worked_net,
 )
-from liftedpaths.driver import solve
+from liftedpaths.driver import SolverConfig, solve
 from liftedpaths.instance import InstanceFormatError
 from liftedpaths.reductions import (
+    DecisionLimitError,
     McfProblem,
     ReductionError,
     decide_mcf,
@@ -134,3 +135,13 @@ def test_parse_mcf_reads_edges_and_demands():
     problem = parse_mcf("# a comment\nedge 1 3\nedge 3 2\npair 1 2 1\n")
     assert problem.edges == ((1, 3), (3, 2))
     assert problem.commodities == ((1, 2, 1),)
+
+
+def test_a_decision_stopped_by_a_limit_raises_the_limit_error():
+    no_rounds = SolverConfig(max_rounds=0)
+    with pytest.raises(DecisionLimitError, match="status round_limit") as sat:
+        decide_sat(SATISFIABLE, no_rounds)
+    with pytest.raises(DecisionLimitError, match="status time_limit") as mcf:
+        decide_mcf(WORKED_NET, SolverConfig(time_limit=0.0))
+    assert (sat.value.status, mcf.value.status) == ("round_limit", "time_limit")
+    assert isinstance(sat.value, RuntimeError)
