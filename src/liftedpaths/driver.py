@@ -66,6 +66,7 @@ __all__ = [
 STATUS_OPTIMAL = "optimal"
 STATUS_ROUND_LIMIT = "round_limit"
 STATUS_TIME_LIMIT = "time_limit"
+STATUS_CUTOFF = "cutoff"
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,10 @@ class RoundStats:
 
 @dataclass
 class SolveResult:
-    """`cuts` is the whole final pool, initial rows and separated rows: a
-    row store that yields each row as a `LinearConstraint` when read."""
+    """`status` is "optimal", "round_limit", "time_limit" or, with a
+    cutoff, "cutoff".  `cuts` is the whole final pool, initial rows and
+    separated rows: a row store that yields each row as a
+    `LinearConstraint` when read."""
 
     status: str
     solution: FlowSolution | None
@@ -127,14 +130,14 @@ def master_variables(
     """Master variable order (node indicators, then base flows, then lifted
     labels) with the matching cost vector."""
     variables: list[VariableHandle] = [node_var(v) for v in instance.inner_nodes()]
-    costs: list[float] = [instance.node_costs[v] for v in instance.inner_nodes()]
-    for idx, (_, _, cost) in enumerate(instance.base_edges):
-        variables.append(base_var(idx))
-        costs.append(cost)
-    for idx, (_, _, cost) in enumerate(instance.lifted_edges):
-        variables.append(lift_var(idx))
-        costs.append(cost)
-    return variables, costs
+    variables += [base_var(idx) for idx in range(len(instance.base_edges))]
+    variables += [lift_var(idx) for idx in range(len(instance.lifted_edges))]
+    return variables, _master_costs(instance)
+
+
+def _master_costs(instance: Instance) -> list[float]:
+    costs = [instance.node_costs[v] for v in instance.inner_nodes()]
+    return costs + [e[2] for e in instance.base_edges] + [e[2] for e in instance.lifted_edges]
 
 
 def build_initial_constraints(
@@ -274,18 +277,24 @@ def solve(
     instance: Instance,
     config: SolverConfig | None = None,
     initial_cuts: Sequence[LinearConstraint] = (),
+    *,
+    cutoff: float | None = None,
 ) -> SolveResult:
     """Run the cutting-plane loop to optimality (or a configured limit).
 
     `initial_cuts` seeds the pool with extra rows, e.g. the final pool of a
     previous run; re-solving with that pool certifies in one round.
+    With a `cutoff`, a master whose bound proves that every solution costs
+    more than the cutoff ends the run with status `cutoff` (each master is
+    a relaxation); the last completed round's solution is kept, as on a
+    limit.  A master optimum at or below the cutoff is never cut off.
     """
     config = config or SolverConfig()
     started = time.monotonic()
     deadline = None if config.time_limit is None else started + config.time_limit
-    variables, objective = master_variables(instance)
 
     pool = build_initial_constraints(instance, config)
+    variables, objective = pool.variables, _master_costs(instance)
     # The initial rows are distinct, and the master satisfies every pool row,
     # so a separated row can only repeat another separated row: only those
     # are keyed, unless extra rows must be checked against the pool.
@@ -314,9 +323,13 @@ def solve(
             node_limit=config.node_limit,
             warm_start=warm,
             deadline=deadline,
+            cutoff=cutoff,
         )
         if master.status == "infeasible":
             raise MilpError("master problem infeasible; the empty flow should always fit")
+        if master.status == "cutoff":
+            status = STATUS_CUTOFF
+            break
         if master.status == "node_limit":
             status = STATUS_ROUND_LIMIT
             break

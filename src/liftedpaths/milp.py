@@ -2,10 +2,12 @@
 
 The LP core is a revised simplex over box-bounded variables (structural
 variables live in [0, 1] unless a caller tightens them; slacks in [0, inf)).
-A fresh LP is solved by the two-phase primal method.  Pricing is Dantzig's
-rule, switching to Bland's rule after 3*(m+n) degenerate pivots so cycling
-cannot occur.  Infeasibility is reported with the index of a constraint whose
-phase-1 artificial stays basic and positive.
+A fresh LP is solved by the two-phase primal method; a crash point that
+already satisfies every row (each artificial is 0) skips phase 1, with the
+artificials frozen at 0.  Pricing is Dantzig's rule, switching to Bland's
+rule after 3*(m+n) degenerate pivots so cycling cannot occur.  Infeasibility
+is reported with the index of a constraint whose phase-1 artificial stays
+basic and positive.
 
 A solved LP stays live: after a bound change or appended rows its basis is
 still dual feasible, and a bounded dual simplex (leaving row: the largest
@@ -19,8 +21,10 @@ open node keeps the optimal basis of its LP, and a child restores its
 parent's basis, tightens the branched bound and reoptimises by dual pivots.
 Nodes are ordered by LP bound, branching picks the fractional variable with
 the largest objective stake, and a node whose bound is within 1e-9 of the
-incumbent is pruned.  No cut generation happens here; callers add their own
-rows.
+incumbent is pruned.  With a cutoff, a node whose bound exceeds it by more
+than 1e-9 is pruned too, and a search that finds no solution at or below the
+cutoff ends with status "cutoff".  No cut generation happens here; callers
+add their own rows.
 
 Each solve keeps its rows in one array store, `_RowStore` (entry row, column
 and coefficient arrays, plus sense, right-hand-side and tag arrays).  The
@@ -29,9 +33,12 @@ extends for its pool, or a sequence of `LinearConstraint`s, which they index
 into one.  The LP matrix, crash point, lazy activation and integral re-check
 read it, and `_RowStore.violated` alone decides row violation.  The only
 presolve is dropping empty rows, after checking that they are satisfiable.
-The LP matrix is a dense column-major block of the initial rows
-(8*m*ncols bytes, beside the m x m basis inverse) plus the appended rows'
-store entries.
+The LP matrix is one entry array sorted by column: the store entries of the
+LP's rows, one +-1 entry per slack and per artificial, and the entries of
+rows appended later.  It takes three arrays of one word per non-zero, beside
+the m x m basis inverse.  Pricing and column pulls cost O(non-zeros), and a
+pivot updates only the rows of the inverse where the entering column is
+non-zero.
 """
 
 from __future__ import annotations
@@ -60,6 +67,8 @@ _SENSE_NAMES = ("<=", "=", ">=")
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
+#: By status: the sign of a move off the variable's bound (none when basic).
+_DIRECTION = np.array([1.0, -1.0, 0.0])
 
 _TOL_PRICE = 1e-9
 _TOL_PIVOT = 1e-9
@@ -153,7 +162,7 @@ class LpResult:
 
 @dataclass
 class BinaryResult:
-    status: str  # "optimal" | "infeasible" | "node_limit" | "time_limit"
+    status: str  # "optimal" | "infeasible" | "cutoff" | "node_limit" | "time_limit"
     objective: float | None
     values: np.ndarray | None  # 0/1 ints aligned with `variables`
     nodes_explored: int = 0
@@ -286,15 +295,17 @@ class _Simplex:
 
     The LP's rows are `active`, indices into the store in LP row order; the
     rest of the non-empty rows are `pending`.  `solve` runs the two-phase
-    primal method from a crash point.  After it, `restore` (a stored basis
-    under new structural bounds) and `add_rows` keep the basis dual
-    feasible, and `reoptimise` recovers an optimum by dual pivots.  Past
-    `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
-    active; `solve` and `reoptimise` both append the pending rows the vertex
-    violates and reoptimise until none is.
-    `block` holds the initial rows over the initial columns, column-major,
-    and never grows; `tail` holds the appended rows as COO (row, col, val)
-    arrays in LP row numbering, where a repeated entry adds up.
+    primal method from a crash point, or phase 2 alone when the crash is
+    feasible.  After it, `restore` (a stored basis under new structural
+    bounds) and `add_rows` keep the basis dual feasible, and `reoptimise`
+    recovers an optimum by dual pivots.  Past `_LAZY_ROW_THRESHOLD`
+    non-empty rows only the equality rows start active; `solve` and
+    `reoptimise` both append the pending rows the vertex violates and
+    reoptimise until none is.
+    The LP matrix is the entries (`a_row`, `a_col`, `a_val`) in LP row and
+    column numbering, sorted by column, with column j's entries at
+    `a_ptr[j]:a_ptr[j + 1]`.  A repeated entry adds up.  `add_rows` merges
+    the appended rows' entries in.
     """
 
     def __init__(
@@ -351,13 +362,12 @@ class _Simplex:
 
         self.lo = np.concatenate([lo, np.zeros(ncols - self.nstruct)])
         self.up = np.concatenate([up, np.full(ncols - self.nstruct, np.inf)])
-        # Column-major: a column pull is contiguous, and the layout fixes the
-        # order in which pricing's `y @ block` sums.
-        self.block = np.zeros((m, ncols), order="F")
-        np.add.at(self.block, (ridx, cidx), data)
-        self.block[art, basis[art]] = art_sign
-        self.tail = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
         self.ncols = ncols
+        self._set_entries(
+            np.concatenate([ridx, art]),
+            np.concatenate([cidx, basis[art]]),
+            np.concatenate([data, art_sign]),
+        )
         self.basis = basis
         self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
         self.vstat[: self.nstruct][x0 == up] = _AT_UPPER
@@ -377,34 +387,34 @@ class _Simplex:
             else 5000 + 60 * (m + ncols)
         )
 
+    def _set_entries(self, row: np.ndarray, col: np.ndarray, val: np.ndarray) -> None:
+        """Make (row, col, val) the LP matrix, sorted by column; the sort is
+        stable, so entries already in order keep their summation order."""
+        order = np.argsort(col, kind="stable")
+        self.a_row, self.a_col, self.a_val = row[order], col[order], val[order]
+        self.a_ptr = np.searchsorted(self.a_col, np.arange(self.ncols + 1))
+
     def _columns(self, cols: np.ndarray) -> np.ndarray:
-        """The LP matrix's columns `cols`, dense; a repeated tail entry adds up."""
-        m0, n0 = self.block.shape
-        if m0 == self.m:
-            return self.block[:, cols]
-        row, col, val = self.tail
-        pos = np.full(self.ncols, -1)
-        pos[cols] = np.arange(len(cols))
-        keep = pos[col] >= 0
-        out = np.zeros((self.m, len(cols)))
-        np.add.at(out, (row[keep], pos[col[keep]]), val[keep])
-        inner = cols < n0
-        out[:m0, inner] = self.block[:, cols[inner]]
-        return out
+        """The LP matrix's columns `cols`, dense; a repeated entry adds up."""
+        start = self.a_ptr[cols]
+        lens = self.a_ptr[cols + 1] - start
+        # The positions of the entries of cols[0], then of cols[1], ...
+        owner = np.repeat(np.arange(len(cols)), lens)
+        idx = np.arange(owner.size) + np.repeat(start - np.cumsum(lens) + lens, lens)
+        flat = self.a_row[idx] * len(cols) + owner
+        out = np.bincount(flat, self.a_val[idx], minlength=self.m * len(cols))
+        return out.reshape(self.m, len(cols))
 
     def _column(self, j: int) -> np.ndarray:
-        return self._columns(np.array([j]))[:, 0]
+        s, e = self.a_ptr[j], self.a_ptr[j + 1]
+        return np.bincount(self.a_row[s:e], self.a_val[s:e], minlength=self.m)
 
     def _products(self, y: np.ndarray) -> np.ndarray:
         """y @ A, for one row vector or a stack of them."""
-        m0, n0 = self.block.shape
-        if m0 == self.m:
-            return y @ self.block
-        row, col, val = self.tail
-        out = np.zeros(y.shape[:-1] + (self.ncols,))
-        np.add.at(out.T, col, (y[..., row] * val).T)
-        out[..., :n0] += y[..., :m0] @ self.block
-        return out
+        w = y[..., self.a_row] * self.a_val
+        if w.ndim == 1:
+            return np.bincount(self.a_col, w, minlength=self.ncols)
+        return np.array([np.bincount(self.a_col, wi, minlength=self.ncols) for wi in w])
 
     def _costs(self) -> np.ndarray:
         c = np.zeros(self.ncols)
@@ -418,21 +428,22 @@ class _Simplex:
             raise _SingularBasis(f"singular basis during refactorization: {exc}") from None
         xfull = self.x.copy()
         xfull[self.basis] = 0.0
-        nz = np.flatnonzero(xfull)
-        self.xB = self.Binv @ (self.rows.rhs[self.active] - self._columns(nz) @ xfull[nz])
+        ax = np.bincount(self.a_row, self.a_val * xfull[self.a_col], minlength=self.m)
+        self.xB = self.Binv @ (self.rows.rhs[self.active] - ax)
 
     def _pivot(self, leave_row: int, col: np.ndarray) -> None:
         """Product-form update of Binv for the column `col` = Binv a_j that
-        just entered at `leave_row`."""
-        row_r = self.Binv[leave_row, :] / col[leave_row]
-        self.Binv -= np.outer(col, row_r)
-        self.Binv[leave_row, :] = row_r
+        just entered at `leave_row`.  Only the rows where `col` is non-zero
+        change, so only those are touched."""
+        row_r = self.Binv[leave_row] / col[leave_row]
+        nz = np.flatnonzero(col)
+        self.Binv[nz] -= col[nz, None] * row_r
+        self.Binv[leave_row] = row_r
         self.pivots += 1
 
     def _phase(self, c: np.ndarray, phase1: bool) -> str:
         movable = (self.up - self.lo) > 0
         if phase1:
-            movable = movable.copy()
             movable[self.art_start :] = False  # artificials never re-enter
         while True:
             if self.iterations >= self.iteration_limit:
@@ -443,17 +454,12 @@ class _Simplex:
 
             pi = c[self.basis] @ self.Binv
             d = c - self._products(pi)
-            eligible = movable & (
-                ((self.vstat == _AT_LOWER) & (d < -_TOL_PRICE))
-                | ((self.vstat == _AT_UPPER) & (d > _TOL_PRICE))
-            )
-            idx = np.flatnonzero(eligible)
+            # -|d_j| where moving x_j off its bound lowers the objective.
+            score = d * _DIRECTION[self.vstat] * movable
+            idx = np.flatnonzero(score < -_TOL_PRICE)
             if idx.size == 0:
                 return "optimal"
-            if self.bland:
-                j = int(idx[0])
-            else:
-                j = int(idx[np.argmax(np.abs(d[idx]))])
+            j = int(idx[0] if self.bland else idx[np.argmin(score[idx])])
             s_dir = 1.0 if self.vstat[j] == _AT_LOWER else -1.0
             col = self.Binv @ self._column(j)
             delta = s_dir * col
@@ -461,17 +467,10 @@ class _Simplex:
             # Ratio test: how far can x_j move before a basic variable hits
             # a bound (or x_j flips to its own opposite bound)?
             with np.errstate(divide="ignore", invalid="ignore"):
-                t_lo = np.where(
-                    delta > _TOL_PIVOT,
-                    (self.xB - self.lo[self.basis]) / delta,
-                    np.inf,
-                )
-                t_up = np.where(
-                    delta < -_TOL_PIVOT,
-                    (self.up[self.basis] - self.xB) / (-delta),
-                    np.inf,
-                )
-            t_rows = np.maximum(np.minimum(t_lo, t_up), 0.0)
+                bound = np.where(delta > 0, self.lo[self.basis], self.up[self.basis])
+                t_rows = (self.xB - bound) / delta
+            t_rows[np.abs(delta) <= _TOL_PIVOT] = np.inf
+            t_rows = np.maximum(t_rows, 0.0)
             t_flip = self.up[j] - self.lo[j]
             t_min_rows = float(t_rows.min()) if self.m else np.inf
 
@@ -535,20 +534,14 @@ class _Simplex:
                 np.vstack((c[self.basis] @ self.Binv, self.Binv[r, :]))
             )
             d = c - d
-            # Raising x_j moves x_B[r] by -alpha_j; `gain` > 0 means raising
-            # x_j moves x_B[r] toward the bound it violates.
-            gain = -alpha if to_lower else alpha
-            at_lower = self.vstat == _AT_LOWER
-            at_upper = self.vstat == _AT_UPPER
-            idx = np.flatnonzero(
-                movable
-                & ((at_lower & (gain > _TOL_PIVOT)) | (at_upper & (gain < -_TOL_PIVOT)))
-            )
+            # Raising x_j moves x_B[r] by -alpha_j; `gain` > 0 means moving
+            # x_j off its bound moves x_B[r] toward the bound it violates.
+            direction = _DIRECTION[self.vstat] * movable
+            gain = (-alpha if to_lower else alpha) * direction
+            idx = np.flatnonzero(gain > _TOL_PIVOT)
             if idx.size == 0:
                 return "infeasible"  # row r cannot reach its bound within the box
-            ratios = np.maximum(np.where(at_lower[idx], d[idx], -d[idx]), 0.0) / np.abs(
-                alpha[idx]
-            )
+            ratios = np.maximum(d[idx] * direction[idx], 0.0) / np.abs(alpha[idx])
             t_min = float(ratios.min())
             ties = idx[ratios <= t_min + 1e-12]
             q = int(ties[0] if self.bland else ties[np.argmax(np.abs(alpha[ties]))])
@@ -575,8 +568,9 @@ class _Simplex:
 
     def solve(self) -> tuple[str, int | None]:
         """Run both phases and activate violated rows; returns (status, the
-        index into `rows` of a blocking row or None)."""
-        if self.ncols > self.art_start:
+        index into `rows` of a blocking row or None).  A crash whose
+        artificials are all 0 is already feasible and skips phase 1."""
+        if self.xB[self.basis >= self.art_start].any():
             c1 = np.zeros(self.ncols)
             c1[self.art_start :] = 1.0
             status = self._phase(c1, phase1=True)
@@ -588,7 +582,7 @@ class _Simplex:
             if art_sum > tol:
                 row = art_rows[np.argmax(self.xB[art_rows])]
                 return "infeasible", int(self.active[row])
-            self.up[self.art_start :] = 0.0  # freeze artificials for phase 2
+        self.up[self.art_start :] = 0.0  # freeze artificials for phase 2
         return self._activate(self._phase(self._costs(), phase1=False)), None
 
     def reoptimise(self) -> str:
@@ -622,9 +616,13 @@ class _Simplex:
         stays dual feasible; a violated row's slack starts out of bounds."""
         k, m0, n0 = len(indices), self.m, self.ncols
         ridx, cidx, data = self.rows.entries(indices, n0)
-        self.tail = tuple(np.concatenate(p) for p in zip(self.tail, (m0 + ridx, cidx, data)))
         self.m += k
         self.ncols += k
+        self._set_entries(
+            np.concatenate([self.a_row, m0 + ridx]),
+            np.concatenate([self.a_col, cidx]),
+            np.concatenate([self.a_val, data]),
+        )
         sign = np.where(self.rows.sense[indices] == _SENSE_LE, 1.0, -1.0)
         xfull = self.x.copy()
         xfull[self.basis] = self.xB
@@ -776,6 +774,7 @@ def solve_binary(
     node_limit: int | None = None,
     warm_start: Sequence[float] | None = None,
     deadline: float | None = None,
+    cutoff: float | None = None,
 ) -> BinaryResult:
     """Minimize over {0,1}^n subject to `constraints` (exact, best-first), a
     sequence of `LinearConstraint`s or a row store over `variables`.
@@ -785,7 +784,11 @@ def solve_binary(
     the LPs solved.  `deadline` is a `time.monotonic()` instant checked
     before every node after the root; once it has passed, the search stops
     with status "time_limit".  A search stopped by either limit reports the
-    incumbent, if any, and a proven lower bound.  The objective and
+    incumbent, if any, and a proven lower bound.  `cutoff` prunes every
+    node whose LP bound exceeds it by more than 1e-9, never one at or below
+    it; when no solution is found and some node was pruned this way, the
+    status is "cutoff" and `bound` is the least bound pruned, a proof that
+    no solution has an objective at or below the cutoff.  The objective and
     `warm_start` must have one entry per variable, or `MilpError` is raised.
     """
     n = len(variables)
@@ -800,19 +803,23 @@ def solve_binary(
 
     inc_obj = math.inf
     inc_vals: np.ndarray | None = None
+    cut_bound = math.inf  # least LP bound pruned by the cutoff
     nodes = 1
     counter = 0
     # Open nodes: (LP bound, tie counter, LP values, lo, up, optimal basis).
     heap: list[tuple] = []
 
     def settle(status: str, lo: np.ndarray, up: np.ndarray) -> None:
-        nonlocal counter
+        nonlocal counter, cut_bound
         if status == "infeasible":
             return
         if status != "optimal":
             raise MilpError(f"LP subproblem ended with status {status}")
         vals = lp.structural_values()
         obj = float(c @ vals)
+        if cutoff is not None and obj > cutoff + _GAP_TOL:
+            cut_bound = min(cut_bound, obj)
+            return
         if obj >= inc_obj - _GAP_TOL:
             return
         counter += 1
@@ -870,5 +877,7 @@ def solve_binary(
             )
 
     if inc_vals is None:
+        if cut_bound < math.inf:
+            return BinaryResult("cutoff", None, None, nodes, cut_bound, lp.pivots)
         return BinaryResult("infeasible", None, None, nodes, None, lp.pivots)
     return BinaryResult("optimal", inc_obj, inc_vals, nodes, inc_obj, lp.pivots)

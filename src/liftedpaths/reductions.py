@@ -249,9 +249,12 @@ def decide_sat(
     clauses, config: SolverConfig | None = None
 ) -> tuple[bool, dict[int, bool] | None]:
     """Solve the reduced instance and decide satisfiability; on success also
-    return a satisfying assignment read off a cheapest route."""
+    return a satisfying assignment read off a cheapest route.  The solve
+    stops, deciding "no", once a master bound passes the threshold."""
     reduction = reduce_sat(clauses)
-    result = solve(reduction.instance, config)
+    result = solve(reduction.instance, config, cutoff=reduction.threshold + _DECISION_TOL)
+    if result.status == "cutoff":
+        return False, None
     if result.status != "optimal":
         raise DecisionLimitError(result.status)
     if result.objective > reduction.threshold + _DECISION_TOL:
@@ -416,9 +419,12 @@ def reduce_mcf(problem: McfProblem) -> McfReduction:
 
 def decide_mcf(problem: McfProblem, config: SolverConfig | None = None) -> bool:
     """True when every commodity's full demand can be routed over pairwise
-    edge-disjoint paths simultaneously."""
+    edge-disjoint paths simultaneously.  The solve stops, deciding "no",
+    once a master bound passes the threshold."""
     reduction = reduce_mcf(problem)
-    result = solve(reduction.instance, config)
+    result = solve(reduction.instance, config, cutoff=reduction.threshold + _DECISION_TOL)
+    if result.status == "cutoff":
+        return False
     if result.status != "optimal":
         raise DecisionLimitError(result.status)
     return result.objective <= reduction.threshold + _DECISION_TOL

@@ -50,6 +50,29 @@ lift 1 4 2.0
 """
 TWO_ROUND_OBJECTIVE = -8.0
 
+# One extra solving round, with nothing left to tie-breaking: the initial
+# master's optimum, -4.5, is unique (the next-best master point is -2.5, which
+# `test_the_one_cut_master_optimum_is_unique` checks by a no-good re-solve).
+# It routes s -> 1 -> 2 -> 3 -> 4 -> t but leaves the lifted label (1, 4) at
+# 0, and one lifted-path cut forces that label, at the optimum -2.5.  This is
+# `random_instance(random.Random(2161), max_inner=5, max_base=10, max_lift=3)`.
+ONE_CUT_TEXT = """\
+ldp 1
+nodes 4
+base s 1 -2.0
+base s 2 1.5
+base s 4 1.0
+base 1 2 1.0
+base 1 4 0.0
+base 2 3 -2.0
+base 3 4 2.0
+base 4 t -1.5
+lift 1 3 -2.0
+lift 1 4 2.0
+"""
+ONE_CUT_MASTER_OBJECTIVE = -4.5
+ONE_CUT_OBJECTIVE = -2.5
+
 
 # (a or b or not c), (a or c or not d), (not a or c or e), (not a or c or not e):
 # satisfiable, e.g. by the all-true assignment.
@@ -95,6 +118,10 @@ def demo_instance() -> Instance:
 
 def two_round_instance() -> Instance:
     return parse_instance(TWO_ROUND_TEXT)
+
+
+def one_cut_instance() -> Instance:
+    return parse_instance(ONE_CUT_TEXT)
 
 
 def tightening_instance() -> Instance:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import liftedpaths
-from generators import DEMO_TEXT, TWO_ROUND_TEXT
+from generators import DEMO_TEXT, ONE_CUT_TEXT
 from liftedpaths.cli import main
 
 NET_TEXT = """\
@@ -109,13 +109,13 @@ def test_solve_trace_goes_to_stderr(demo_file):
 
 def test_solve_trace_reports_added_cuts(tmp_path):
     path = tmp_path / "two.ldp"
-    path.write_text(TWO_ROUND_TEXT)
+    path.write_text(ONE_CUT_TEXT)
     code, out, err = run_cli("solve", str(path), "--trace")
     assert code == 0
-    assert out.startswith("objective -8\n")
+    assert out.startswith("objective -2.5\n")
     lines = err.strip().splitlines()
     assert len(lines) == 2
-    assert lines[0].startswith("round 1: objective -8")
+    assert lines[0].startswith("round 1: objective -4.5")
     assert lines[1].endswith("done")
 
 

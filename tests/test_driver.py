@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from generators import (
     DEMO_OBJECTIVE,
     DEMO_PATH,
+    ONE_CUT_MASTER_OBJECTIVE,
+    ONE_CUT_OBJECTIVE,
     TWO_ROUND_OBJECTIVE,
     demo_instance,
     framed_instance,
+    one_cut_instance,
     random_instance,
     tightening_instance,
     two_round_instance,
@@ -24,6 +27,7 @@ from liftedpaths import driver, milp
 from liftedpaths.constraints import (
     TAG_CUT_IN,
     TAG_CUT_OUT,
+    TAG_LIFTED_PATH,
     TAG_PATH,
     SolutionValues,
     base_var,
@@ -63,27 +67,63 @@ def test_demo_solves_in_one_round():
     assert res.cuts
 
 
+def test_the_one_cut_master_optimum_is_unique():
+    inst = one_cut_instance()
+    variables, costs = master_variables(inst)
+    pool = build_initial_constraints(inst)
+    master = milp.solve_binary(variables, costs, pool)
+    assert master.status == "optimal"
+    assert master.objective == pytest.approx(ONE_CUT_MASTER_OBJECTIVE, abs=1e-9)
+    # A no-good row cuts off exactly this 0/1 point; the next-best master
+    # point is worse, so no tie-breaking can pick another first master.
+    ones = [h for h, x in zip(variables, master.values) if x]
+    zeros = [h for h, x in zip(variables, master.values) if not x]
+    nogood = milp.LinearConstraint(
+        tuple((h, 1.0) for h in ones) + tuple((h, -1.0) for h in zeros),
+        "<=",
+        len(ones) - 1.0,
+        "no-good",
+    )
+    runner_up = milp.solve_binary(variables, costs, list(pool) + [nogood])
+    assert runner_up.status == "optimal"
+    assert runner_up.objective > master.objective + 1.0
+    point = driver._solution_from_values(inst, master.values)
+    assert {row.tag for row in certify(inst, point)} == {TAG_LIFTED_PATH}
+
+
+def test_two_round_text_reaches_the_optimum_in_at_most_two_rounds():
+    # Its first master has tied optima: one certifies at once, another needs
+    # a connectivity cut.  Every optimum has these properties.
+    res = solve(two_round_instance())
+    assert res.status == "optimal"
+    assert res.certified
+    assert res.rounds in (1, 2)
+    assert res.objective == pytest.approx(TWO_ROUND_OBJECTIVE, abs=1e-9)
+    assert all(s.master_objective == pytest.approx(TWO_ROUND_OBJECTIVE) for s in res.trace)
+
+
 def test_two_round_instance_needs_one_connectivity_cut():
-    inst = two_round_instance()
+    inst = one_cut_instance()
     res = solve(inst)
     assert res.status == "optimal"
     assert res.certified
     assert res.rounds == 2
-    assert res.objective == pytest.approx(TWO_ROUND_OBJECTIVE, abs=1e-9)
+    assert res.objective == pytest.approx(ONE_CUT_OBJECTIVE, abs=1e-9)
     assert [s.master_objective for s in res.trace] == [
-        pytest.approx(TWO_ROUND_OBJECTIVE)
-    ] * 2
+        pytest.approx(ONE_CUT_MASTER_OBJECTIVE),
+        pytest.approx(ONE_CUT_OBJECTIVE),
+    ]
     assert res.trace[0].cuts_added == {"lifted-path": 1}
     assert res.trace[1].cuts_added == {}
 
 
 def test_round_limit_returns_the_uncertified_master():
-    inst = two_round_instance()
+    inst = one_cut_instance()
     res = solve(inst, SolverConfig(max_rounds=1))
     assert res.status == "round_limit"
     assert not res.certified
     assert res.solution is not None
-    assert res.objective == pytest.approx(TWO_ROUND_OBJECTIVE)
+    assert res.objective == pytest.approx(ONE_CUT_MASTER_OBJECTIVE)
 
 
 def test_round_limit_zero_yields_no_solution():
@@ -132,6 +172,23 @@ def test_time_limit_stops_a_master_that_must_branch(monkeypatch):
     assert unlimited.status == "optimal"
 
 
+def test_a_cutoff_ends_the_solve_once_a_master_bound_passes_it():
+    # Optimum -0.4; the first master's bound is -2.4 and the second's -0.4.
+    plain = solve(tightening_instance())
+    assert (plain.status, plain.rounds) == ("optimal", 2)
+    for cutoff in (-1.0, -0.4 - 1e-6):
+        res = solve(tightening_instance(), cutoff=cutoff)
+        assert res.status == "cutoff"
+        assert not res.certified
+        assert res.rounds == len(res.trace) + 1 == 2
+        assert res.objective == pytest.approx(-2.4)
+    # A cutoff at the optimum itself never binds.
+    at = solve(tightening_instance(), cutoff=-0.4)
+    assert (at.status, at.rounds, at.certified) == ("optimal", 2, True)
+    assert at.objective == pytest.approx(plain.objective, abs=1e-12)
+    assert list(at.cuts) == list(plain.cuts)
+
+
 def test_round_stats_report_master_nodes_and_pivots():
     res = solve(tightening_instance())
     assert res.status == "optimal"
@@ -142,7 +199,7 @@ def test_round_stats_report_master_nodes_and_pivots():
 
 
 def test_the_returned_cut_pool_certifies_in_one_round():
-    inst = two_round_instance()
+    inst = one_cut_instance()
     first = solve(inst)
     assert first.rounds == 2
     again = solve(inst, initial_cuts=first.cuts)
@@ -204,6 +261,28 @@ def test_master_variables_align_with_the_cost_vector():
     expected |= {lift_var(i): inst.lifted_cost(i) for i in range(len(inst.lifted_index))}
     expected |= {node_var(v): inst.node_costs[v] for v in inst.inner_nodes()}
     assert dict(zip(variables, costs)) == expected
+
+
+def test_a_solve_builds_the_master_variables_once(monkeypatch):
+    built = []
+    masters = []
+    real_variables, real_master = driver.master_variables, driver.solve_binary
+
+    def counted(instance):
+        built.append(instance)
+        return real_variables(instance)
+
+    def recorded(variables, objective, rows, **options):
+        masters.append((variables, list(objective)))
+        return real_master(variables, objective, rows, **options)
+
+    monkeypatch.setattr(driver, "master_variables", counted)
+    monkeypatch.setattr(driver, "solve_binary", recorded)
+    inst = one_cut_instance()
+    assert solve(inst).rounds == 2
+    assert len(built) == 1
+    expected = real_variables(inst)
+    assert masters == [expected, expected]
 
 
 def layered_instance() -> Instance:

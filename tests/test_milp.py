@@ -6,6 +6,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -392,3 +393,158 @@ def test_a_row_store_solves_like_its_rows():
         assert a.values.tolist() == b.values.tolist()
     with pytest.raises(milp.MilpError, match="other variables"):
         solve_lp(variables[::-1], costs[::-1], store)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.sampled_from([-1.0, -0.5, 0.0, 0.5]))
+def test_binary_cutoff_agrees_with_complete_enumeration(seed, offset):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        vs, objective, rows = parity_program(rng)
+    else:
+        vs = handles(rng.randint(1, 8))
+        objective = [float(rng.randint(-3, 3)) for _ in vs]
+        rows = random_rows(rng, vs, rng.randint(0, 5))
+    status, best, _ = oracles.binary_reference(vs, objective, rows)
+    cutoff = (best if status == "optimal" else 0.0) + offset
+    mine = solve_binary(vs, objective, rows, cutoff=cutoff)
+    if status == "optimal" and best <= cutoff:
+        # An optimum at the cutoff itself is never cut off.
+        assert mine.status == "optimal"
+        assert mine.objective == pytest.approx(best, abs=1e-9)
+    elif mine.status == "cutoff":
+        assert mine.objective is None and mine.values is None
+        assert mine.bound > cutoff
+        if status == "optimal":
+            assert mine.bound <= best + 1e-9
+    else:
+        assert status == mine.status == "infeasible"
+
+
+def test_a_cutoff_below_the_root_bound_ends_at_the_root():
+    vs = handles(2)
+    rows = [LinearConstraint(tuple((h, 1.0) for h in vs), "<=", 1.5, "t")]
+    out = solve_binary(vs, [-1.0, -1.0], rows, cutoff=-2.0)
+    assert (out.status, out.nodes_explored, out.bound) == ("cutoff", 1, pytest.approx(-1.5))
+    # Between the root bound and the optimum, -1, the cutoff ends the
+    # search below the root, with the least bound it cut off.
+    out = solve_binary(vs, [-1.0, -1.0], rows, cutoff=-1.25)
+    assert out.status == "cutoff"
+    assert out.nodes_explored > 1
+    assert out.bound == pytest.approx(-1.0)
+
+
+
+def reference_matrix(store, active, appended, nstruct):
+    """The LP matrix over `active` store rows and then `appended` ones, one
+    coefficient at a time from the store: structural entries (a repeated
+    handle adds up), a +-1 slack per inequality row (the appended rows'
+    slacks last), and a signed artificial per row whose slack cannot hold
+    the crash x = 0 (every equality row among them)."""
+    rows = list(active) + list(appended)
+    ineq = [r for r, i in enumerate(active) if store.sense[i] != milp._SENSE_EQ]
+    sense, rhs = store.sense, store.rhs
+    art = [
+        r
+        for r, i in enumerate(active)
+        if sense[i] == milp._SENSE_EQ
+        or (sense[i] == milp._SENSE_LE and rhs[i] < 0)
+        or (sense[i] == milp._SENSE_GE and rhs[i] > 0)
+    ]
+    ncols = nstruct + len(ineq) + len(art) + len(appended)
+    a = np.zeros((len(rows), ncols))
+    for r, i in enumerate(rows):
+        for k in range(store.start[i], store.start[i + 1]):
+            a[r, store.col[k]] += store.val[k]
+    for k, r in enumerate(ineq):
+        a[r, nstruct + k] = 1.0 if sense[active[r]] == milp._SENSE_LE else -1.0
+    for k, r in enumerate(art):
+        a[r, nstruct + len(ineq) + k] = 1.0 if rhs[active[r]] >= 0 else -1.0
+    for k, i in enumerate(appended):
+        a[len(active) + k, ncols - len(appended) + k] = (
+            1.0 if sense[i] == milp._SENSE_LE else -1.0
+        )
+    return a
+
+
+def assert_kernels_match(simplex, a, rng):
+    assert (simplex.m, simplex.ncols) == a.shape
+    y = np.array([rng.uniform(-2, 2) for _ in range(simplex.m)])
+    stack = np.array([[rng.uniform(-2, 2) for _ in range(simplex.m)] for _ in range(2)])
+    np.testing.assert_allclose(simplex._products(y), y @ a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(simplex._products(stack), stack @ a, rtol=0, atol=1e-12)
+    cols = np.array(rng.sample(range(simplex.ncols), rng.randint(0, simplex.ncols)), dtype=np.int64)
+    np.testing.assert_array_equal(simplex._columns(cols), a[:, cols])
+    for j in range(simplex.ncols):
+        np.testing.assert_array_equal(simplex._column(j), a[:, j])
+
+
+def random_terms(rng, vs):
+    """1-5 terms over `vs`; a handle is often repeated."""
+    return tuple(
+        (rng.choice(vs), float(rng.randint(-3, 3))) for _ in range(rng.randint(1, 5))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_sparse_products_and_columns_match_a_dense_matrix(seed):
+    rng = random.Random(seed)
+    vs = handles(rng.randint(1, 6))
+    rows = [
+        LinearConstraint(
+            random_terms(rng, vs), rng.choice(("<=", ">=", "=")), float(rng.randint(-1, 1)), "t"
+        )
+        for _ in range(rng.randint(1, 6))
+    ]
+    store = milp._row_store(vs, rows)
+    n = len(vs)
+    simplex = milp._Simplex(np.zeros(n), store, np.zeros(n), np.ones(n))
+    active = simplex.active.tolist()
+    assert_kernels_match(simplex, reference_matrix(store, active, [], n), rng)
+    # Rows appended later, as lazy activation appends them.
+    extra = [
+        LinearConstraint(random_terms(rng, vs), rng.choice(("<=", ">=")), 1.0, "added")
+        for _ in range(rng.randint(1, 4))
+    ]
+    store.extend(extra)
+    appended = list(range(len(rows), len(rows) + len(extra)))
+    simplex.add_rows(np.array(appended))
+    assert_kernels_match(simplex, reference_matrix(store, active, appended, n), rng)
+
+
+def count_phase_ones(monkeypatch):
+    calls = []
+    phase = milp._Simplex._phase
+
+    def recorded(simplex, c, phase1):
+        calls.append(phase1)
+        return phase(simplex, c, phase1)
+
+    monkeypatch.setattr(milp._Simplex, "_phase", recorded)
+    return calls
+
+
+def test_phase_one_runs_only_from_an_infeasible_crash(monkeypatch):
+    inst = framed_instance()
+    variables, costs = master_variables(inst)
+    flow = list(build_initial_constraints(inst))
+    a, b, c = handles(3)
+    infeasible_crash = [
+        LinearConstraint(((a, 1.0), (b, 1.0)), ">=", 1.0, "t"),
+        LinearConstraint(((b, 1.0), (c, 2.0)), "=", 1.5, "t"),
+        LinearConstraint(((a, 1.0), (c, -1.0)), "<=", 0.5, "t"),
+    ]
+    cases = [
+        (variables, costs, flow, 0),  # every flow row holds at x = 0
+        ([a, b, c], [1.0, -1.0, 2.0], infeasible_crash, 1),
+    ]
+    for vs, objective, rows, phase_ones in cases:
+        with monkeypatch.context() as patch:
+            calls = count_phase_ones(patch)
+            mine = solve_lp(vs, objective, rows)
+        assert calls.count(True) == phase_ones
+        assert mine.status == "optimal"
+        ref = oracles.lp_reference(vs, objective, rows)
+        assert ref.status == 0
+        assert mine.objective == pytest.approx(ref.fun, abs=1e-9)

@@ -19,6 +19,7 @@ from generators import (
 from liftedpaths.driver import SolverConfig, solve
 from liftedpaths.instance import InstanceFormatError
 from liftedpaths.reductions import (
+    _DECISION_TOL,
     DecisionLimitError,
     McfProblem,
     ReductionError,
@@ -129,6 +130,27 @@ def test_random_nets_match_the_packing_search(seed):
     assert decide_mcf(problem) == oracles.net_routable(
         problem.edges, problem.commodities
     )
+
+
+def test_the_cutoff_decides_only_the_negative_verdicts():
+    # Each "no" is decided by a master bound above the threshold; each "yes"
+    # solves as it would without a cutoff.
+    verdicts = set()
+    for seed in range(40):
+        problem = random_net(random.Random(seed))
+        reduction = reduce_mcf(problem)
+        cut = solve(reduction.instance, cutoff=reduction.threshold + _DECISION_TOL)
+        routable = oracles.net_routable(problem.edges, problem.commodities)
+        verdicts.add(routable)
+        assert decide_mcf(problem) == routable
+        if routable:
+            plain = solve(reduction.instance)
+            assert (cut.status, cut.objective) == ("optimal", plain.objective)
+            assert cut.objective <= reduction.threshold + _DECISION_TOL
+        else:
+            assert cut.status == "cutoff"
+            assert not cut.certified
+    assert verdicts == {True, False}
 
 
 def test_parse_mcf_reads_edges_and_demands():
