@@ -24,10 +24,6 @@ from typing import IO, Iterable, Iterator
 SOURCE = 0
 SINK = -1
 
-#: Above this many inner nodes, reachability switches from a dense bitset
-#: table to on-demand DFS rows (memory, not speed, is the concern there).
-_BITSET_LIMIT = 4096
-
 
 class InstanceError(ValueError):
     """Base class for anything wrong with an instance or its file form."""
@@ -74,6 +70,12 @@ class Instance:
         optional mapping node id -> time frame.  If given, every inner node
         must be assigned and every edge (base and lifted) must go strictly
         forward in frame order.
+
+    Construction validates everything, cheapest checks first: no more inner
+    nodes than base edges, finite costs, edge endpoints, acyclicity, then
+    the base-graph `reachability` (built once, here) decides that every
+    inner node lies on a source-sink route and that every lifted pair is
+    joined by a base path.
     """
 
     def __init__(
@@ -91,6 +93,13 @@ class Instance:
         self.base_edges: tuple[tuple[int, int, float], ...] = tuple(
             (int(u), int(v), float(c)) for (u, v, c) in base_edges
         )
+        # Every inner node needs an outgoing base edge of its own; checking
+        # that first bounds everything allocated per node by the input size.
+        if n > len(self.base_edges):
+            raise InstanceValidationError(
+                f"{n} inner nodes but only {len(self.base_edges)} base edges"
+                " (every inner node needs an outgoing base edge)"
+            )
         self.lifted_edges: tuple[tuple[int, int, float], ...] = tuple(
             (int(u), int(v), float(c)) for (u, v, c) in lifted_edges
         )
@@ -105,7 +114,7 @@ class Instance:
         self._check_finite()
         self._build_adjacency()
         self._toposort()
-        self._reachability: Reachability | None = None
+        self.reachability = Reachability(n, self.base_edges)
         self._validate()
 
     # -- construction internals ------------------------------------------
@@ -189,20 +198,18 @@ class Instance:
 
     def _validate(self) -> None:
         n = self.n
+        reach = self.reachability
         # Every inner node must lie on some source-sink route.
-        from_source = self._closure_from(SOURCE)
-        to_sink = self._closure_to(SINK)
+        from_source = reach.row(SOURCE)
         for v in range(1, n + 1):
-            if v not in from_source:
+            if not (from_source >> v) & 1:
                 raise InstanceValidationError(f"unreachable node {v} (no route from source)")
-            if v not in to_sink:
+            if not reach.reaches(v, SINK):
                 raise InstanceValidationError(f"unreachable node {v} (no route to sink)")
         # Lifted edges must connect reachability-ordered pairs.
-        if self.lifted_edges:
-            reach = self.reachability
-            for u, v, _ in self.lifted_edges:
-                if not reach.reaches(u, v):
-                    raise InstanceValidationError(f"lifted edge ({u},{v}) with no base route u->v")
+        for u, v, _ in self.lifted_edges:
+            if not reach.reaches(u, v):
+                raise InstanceValidationError(f"lifted edge ({u},{v}) with no base route u->v")
         # Frames: all-or-nothing, strictly forward along every edge.
         if self.frames is not None:
             for v in range(1, n + 1):
@@ -217,35 +224,7 @@ class Instance:
                 if self.frames[u] >= self.frames[v]:
                     raise InstanceValidationError(f"lifted edge ({u},{v}) does not advance in frame order")
 
-    def _closure_from(self, start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for _, w in self.out_edges.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    def _closure_to(self, start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for _, w in self.in_edges.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
     # -- public helpers ----------------------------------------------------
-
-    @property
-    def reachability(self) -> "Reachability":
-        if self._reachability is None:
-            self._reachability = Reachability(self)
-        return self._reachability
 
     def inner_nodes(self) -> range:
         return range(1, self.n + 1)
@@ -267,64 +246,58 @@ class Instance:
 
 
 class Reachability:
-    """Reflexive reachability relation over source, inner nodes, and sink.
+    """Reflexive reachability relation over source, inner nodes, and sink,
+    along the base edges of a graph with inner nodes 1..n.
 
-    Small instances get a dense bitset table (one Python int per node, bit w
-    set iff v reaches w).  Larger ones compute rows on demand, memoized, so
-    memory stays proportional to the rows actually touched.  Only `n` and the
-    out-edge lists are kept, not the instance: the instance caches its
+    Built from the edge list alone, so a caller can filter lifted pairs
+    before it builds the instance that carries them.  `base_edges` holds
+    (u, v, cost) triples with endpoints in {SOURCE, 1..n, SINK} and must be
+    acyclic; a cycle met while computing a row raises
+    `InstanceValidationError`.  Rows are computed on demand by one iterative
+    post-order DFS and memoized, so each row costs one pass over its
+    successors.  Nothing refers back to an instance: the instance keeps its
     reachability, and a reference back would make a cycle.
     """
 
-    def __init__(self, instance: Instance, _bitset_limit: int = _BITSET_LIMIT):
-        self._n = instance.n
-        self._out_edges = instance.out_edges
-        self._rows: dict[int, int] = {}
-        self._dense = instance.n <= _bitset_limit
-        if self._dense:
-            self._fill_dense(instance.topo_order)
+    def __init__(self, n: int, base_edges: Iterable[tuple[int, int, float]]):
+        # Lists indexed by node id; the sink's slot is index n+1, which is
+        # also index SINK = -1, so the bit of a node is its slot.
+        self._n = n
+        self._succ: list[list[int]] = [[] for _ in range(n + 2)]
+        for u, v, _ in base_edges:
+            self._succ[u].append(v)
+        self._rows: list[int | None] = [None] * (n + 2)
 
     def _bit(self, v: int) -> int:
         # source -> bit 0, inner v -> bit v, sink -> bit n+1
         return self._n + 1 if v == SINK else v
 
-    def _fill_dense(self, topo_order: tuple[int, ...]) -> None:
-        out_edges = self._out_edges
-        rows = self._rows
-        rows[SINK] = 1 << self._bit(SINK)
-        for v in reversed(topo_order):
-            mask = 1 << v
-            for _, w in out_edges[v]:
-                mask |= rows[w]
-            rows[v] = mask
-        mask = 1 << self._bit(SOURCE)
-        for _, w in out_edges[SOURCE]:
-            mask |= rows[w]
-        rows[SOURCE] = mask
-
     def row(self, v: int) -> int:
         """Bitmask of the nodes v reaches: bit w for inner w, bit 0 for the
         source and bit n+1 for the sink."""
         rows = self._rows
-        if v in rows:
+        if rows[v] is not None:
             return rows[v]
-        # Iterative post-order: compute all uncached rows below v once.
-        out_edges = self._out_edges
+        # Iterative post-order: compute all uncached rows below v once.  A
+        # row of 0 marks a node whose DFS is still open, so an edge into
+        # one closes a cycle.
+        succ = self._succ
         stack: list[tuple[int, bool]] = [(v, False)]
         while stack:
             node, expanded = stack.pop()
-            if node in rows:
-                continue
             if expanded:
                 mask = 1 << self._bit(node)
-                for _, w in out_edges.get(node, ()):
+                for w in succ[node]:
                     mask |= rows[w]
                 rows[node] = mask
-            else:
+            elif rows[node] is None:
+                rows[node] = 0
                 stack.append((node, True))
-                for _, w in out_edges.get(node, ()):
-                    if w not in rows:
+                for w in succ[node]:
+                    if rows[w] is None:
                         stack.append((w, False))
+                    elif not rows[w]:
+                        raise InstanceValidationError(f"cycle through node {_node_name(w)}")
         return rows[v]
 
     def reaches(self, v: int, w: int) -> bool:
@@ -339,7 +312,7 @@ class Reachability:
 
 
 def compute_reachability(instance: Instance) -> Reachability:
-    """Reachability over the base graph (cached on the instance)."""
+    """Reachability over the base graph (built with the instance)."""
     return instance.reachability
 
 

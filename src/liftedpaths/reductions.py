@@ -34,6 +34,7 @@ from .instance import (
     SOURCE,
     Instance,
     InstanceFormatError,
+    Reachability,
     active_st_paths,
     solution_from_paths,
 )
@@ -75,46 +76,31 @@ def _prune_to_routes(
 ) -> tuple[Instance, dict[int, int]]:
     """Drop inner nodes missing from every source-sink route, renumber the
     survivors densely, and keep only lifted pairs that remain reachable.
-    Returns the instance plus the old-id -> new-id map."""
-    succ: dict[int, list[int]] = {}
-    pred: dict[int, list[int]] = {}
-    for u, v, _ in base_edges:
-        succ.setdefault(u, []).append(v)
-        pred.setdefault(v, []).append(u)
+    Returns the instance plus the old-id -> new-id map.
 
-    def closure(start: int, adj: dict[int, list[int]]) -> set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adj.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
-
-    forward = closure(SOURCE, succ)
-    backward = closure(SINK, pred)
-    kept = [v for v in range(1, inner_count + 1) if v in forward and v in backward]
+    One reachability over the unpruned (acyclic) graph decides both: a node
+    is kept when the source reaches it and it reaches the sink, and a path
+    between two kept nodes passes only through kept nodes, so a lifted pair
+    survives pruning exactly when its endpoints are kept and connected."""
+    reach = Reachability(inner_count, base_edges)
+    kept = [
+        v for v in range(1, inner_count + 1)
+        if reach.reaches(SOURCE, v) and reach.reaches(v, SINK)
+    ]
     remap = {old: new for new, old in enumerate(kept, start=1)}
     remap[SOURCE] = SOURCE
     remap[SINK] = SINK
-
     base_kept = [
         (remap[u], remap[v], c)
         for u, v, c in base_edges
         if u in remap and v in remap
     ]
-    skeleton = Instance(len(kept), base_kept)
-    reach = skeleton.reachability
     lifted_kept = [
         (remap[u], remap[v], c)
         for u, v, c in lifted_edges
-        if u in remap and v in remap and reach.reaches(remap[u], remap[v])
+        if u in remap and v in remap and reach.reaches(u, v)
     ]
-    if lifted_kept:
-        return Instance(len(kept), base_kept, lifted_kept), remap
-    return skeleton, remap
+    return Instance(len(kept), base_kept, lifted_kept), remap
 
 
 # --------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .instance import (
     SOURCE,
     Instance,
     InstanceFormatError,
+    Reachability,
     active_st_paths,
 )
 
@@ -140,7 +141,9 @@ class TrackingConfig:
 
     Gap thinning is expressed in seconds via `fps`: every gap up to half a
     second is kept, every 2nd gap up to a second, every 3rd gap beyond, and
-    nothing past `max_gap_frames` (which defaults to two seconds' worth)."""
+    nothing past `max_gap_frames` (which defaults to two seconds' worth).
+    `max_iterations` caps the merge rounds of stage 2; at 0 the interval
+    tracklets come back unmerged."""
 
     fps: float = 5.0
     max_gap_frames: int | None = None
@@ -160,6 +163,8 @@ class TrackingConfig:
             raise ValueError("fps must be a positive finite number")
         if not (math.isfinite(self.lift_epsilon) and self.lift_epsilon >= 0):
             raise ValueError("lift epsilon must be a finite number of at least 0")
+        if self.max_iterations < 0:
+            raise ValueError("max iterations must be at least 0")
 
     def gap_limit(self) -> int:
         if self.max_gap_frames is not None:
@@ -201,7 +206,7 @@ def _build_detection_instance(
         for cost, v in cands[: config.successors_per_frame]:
             edges.append((ids[u], ids[v], cost))
     frames = {ids[d]: d[0] for d in order}
-    reach = Instance(len(order), edges, frames=frames).reachability
+    reach = Reachability(len(order), edges)
     lifted = [
         (ids[u], ids[v], cost)
         for (u, v), cost in sorted(lift.items())
@@ -305,7 +310,7 @@ def _solve_tracklet_graph(
         a, b = node_of.get(u), node_of.get(v)
         if a is not None and b is not None and a != b and v[0] - u[0] <= gap:
             cross[a, b] = cross.get((a, b), 0.0) + cost
-    reach = Instance(len(order), base, node_costs=node_costs).reachability
+    reach = Reachability(len(order), base)
     lifted = [
         (a, b, total)
         for (a, b), total in sorted(cross.items())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from liftedpaths.instance import SINK, SOURCE, Instance, parse_instance
+from liftedpaths.instance import SINK, SOURCE, Instance, Reachability, parse_instance
 from liftedpaths.reductions import McfProblem, ReductionError
 from liftedpaths.tracking import CostTable
 
@@ -229,14 +229,9 @@ def random_instance(
             for (u, v) in sorted(edges)
             if u in remap and v in remap
         ]
-        skeleton = Instance(len(keep), base)
-        reach = skeleton.reachability
-        pairs = [
-            (v, w)
-            for v in skeleton.inner_nodes()
-            for w in skeleton.inner_nodes()
-            if v != w and reach.reaches(v, w)
-        ]
+        reach = Reachability(len(keep), base)
+        nodes = range(1, len(keep) + 1)
+        pairs = [(v, w) for v in nodes for w in nodes if v != w and reach.reaches(v, w)]
         rng.shuffle(pairs)
         lifted = [(v, w, cost(rng)) for (v, w) in pairs[: rng.randint(0, max_lift)]]
         return Instance(len(keep), base, lifted)

@@ -57,6 +57,40 @@ def reachable_sets(inst: Instance) -> dict[int, set[int]]:
     return table
 
 
+def closure_matrix(nodes, edges) -> dict[tuple[int, int], bool]:
+    """Reflexive transitive closure of `edges` over `nodes` by Warshall's
+    algorithm: (v, w) -> whether v reaches w."""
+    reach = {(v, w): v == w for v in nodes for w in nodes}
+    for u, v in edges:
+        reach[u, v] = True
+    for k in nodes:
+        for v in nodes:
+            if reach[v, k]:
+                for w in nodes:
+                    if reach[k, w]:
+                        reach[v, w] = True
+    return reach
+
+
+def prune_to_routes(inner_count: int, base_edges, lifted_edges):
+    """(kept nodes, renumbered base edges, renumbered lifted edges): the
+    inner nodes on some source-sink route, and the lifted pairs whose
+    endpoints are kept and joined by a path of the pruned graph itself."""
+    nodes = [SOURCE, *range(1, inner_count + 1), SINK]
+    full = closure_matrix(nodes, [(u, v) for u, v, _ in base_edges])
+    kept = [v for v in nodes[1:-1] if full[SOURCE, v] and full[v, SINK]]
+    new = {v: i for i, v in enumerate(kept, start=1)}
+    new[SOURCE], new[SINK] = SOURCE, SINK
+    base = [(new[u], new[v], c) for u, v, c in base_edges if u in new and v in new]
+    pruned = closure_matrix(list(new.values()), [(u, v) for u, v, _ in base])
+    lifted = [
+        (new[u], new[v], c)
+        for u, v, c in lifted_edges
+        if u in new and v in new and pruned[new[u], new[v]]
+    ]
+    return kept, base, lifted
+
+
 def path_cost(inst: Instance, path: tuple[int, ...]) -> float:
     """Cost one route contributes: its nodes, base hops, and internal
     lifted pairs.  Routes are node-disjoint, so no lifted pair can straddle

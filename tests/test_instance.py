@@ -17,6 +17,7 @@ from liftedpaths.instance import (
     SOURCE,
     FlowSolution,
     Instance,
+    InstanceError,
     InstanceFormatError,
     InstanceValidationError,
     Reachability,
@@ -117,6 +118,8 @@ def test_format_errors_carry_positions(text, line, column, fragment):
             "ldp 1\nnodes 2\nbase s 1 0.0\nbase 1 t 0.0\nbase s 2 0.0\n",
             "unreachable node 2",
         ),
+        # rejected before anything is allocated per node
+        ("ldp 1\nnodes 1000000000000\n", "1000000000000 inner nodes but only 0 base edges"),
     ],
 )
 def test_validation_errors_name_the_defect(text, fragment):
@@ -125,31 +128,96 @@ def test_validation_errors_name_the_defect(text, fragment):
     assert fragment in str(err.value)
 
 
+_NODE_TOKENS = st.one_of(
+    st.sampled_from(["s", "t", "0", "-1", "x", "1.5", "+2", "1_0"]),
+    st.integers(1, 8).map(str),
+)
+_COST_TOKENS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "abc", "-0.0", "0x1p-2"]),
+    st.floats(-4, 4, allow_nan=False).map(repr),
+)
+
+
+@st.composite
+def _directive_lines(draw):
+    words = ["base"] * 6 + ["lift"] * 2 + ["frame", "ncost", "nodes", "ldp", "wat"]
+    word = draw(st.sampled_from(words))
+    if word == "nodes":
+        args = [draw(st.one_of(st.integers(-2, 10**12).map(str), st.sampled_from(["x", "2.0"])))]
+    elif word == "frame":
+        args = [draw(_NODE_TOKENS), draw(st.one_of(st.integers(-3, 9).map(str), _COST_TOKENS))]
+    elif word == "ncost":
+        args = [draw(_NODE_TOKENS), draw(_COST_TOKENS)]
+    elif word in ("base", "lift"):
+        args = [draw(_NODE_TOKENS), draw(_NODE_TOKENS), draw(_COST_TOKENS)]
+    else:
+        args = [draw(st.sampled_from(["1", "2"]))]
+    if draw(st.integers(0, 9)) == 0:  # a wrong argument count
+        args = args[: draw(st.integers(0, len(args)))] + draw(st.lists(_NODE_TOKENS, max_size=2))
+    return " ".join([word, *args])
+
+
+@st.composite
+def _instance_texts(draw):
+    """Directive soup, or a valid instance's text with lines dropped,
+    repeated or replaced by another directive."""
+    if draw(st.booleans()):
+        header = draw(st.sampled_from(["ldp 1"] * 8 + ["ldp 2", "ldp", "nodes 3"]))
+        nodes = draw(st.one_of(st.integers(0, 8), st.integers(0, 10**12)))
+        body = draw(st.lists(_directive_lines(), max_size=25))
+        lines = [header, f"nodes {nodes}", *body]
+    else:
+        rng = random.Random(draw(SEEDS))
+        lines = serialize_instance(random_instance(rng, max_inner=6, max_base=14)).splitlines()
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(lines) - 1))
+            edit = draw(st.sampled_from(["drop", "repeat", "replace"]))
+            if edit == "drop":
+                del lines[at]
+            elif edit == "repeat":
+                lines.insert(at, lines[at])
+            else:
+                lines[at] = draw(_directive_lines())
+            if not lines:
+                break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instance_texts())
+def test_parse_instance_raises_only_instance_errors_or_round_trips(text):
+    try:
+        inst = parse_instance(text)
+    except InstanceError:
+        return
+    canonical = serialize_instance(inst)
+    assert serialize_instance(parse_instance(canonical)) == canonical
+
+
 @settings(max_examples=40, deadline=None)
 @given(SEEDS)
 def test_reachability_matches_breadth_first_search(seed):
-    rng = random.Random(seed)
-    inst = random_instance(rng, max_inner=8, max_base=16, max_lift=5)
-    reach = inst.reachability
-    table = oracles.reachable_sets(inst)
-    for v in inst.inner_nodes():
-        assert reach.reaches(v, v), "reachability must be reflexive"
-        for w in inst.inner_nodes():
-            assert reach.reaches(v, w) == (w in table[v])
-
-
-@settings(max_examples=40, deadline=None)
-@given(SEEDS)
-def test_on_demand_reachability_matches_the_dense_table(seed):
+    """Every pair over source, inner nodes and sink, asked in a shuffled
+    order: memoized rows must not depend on the order of the questions."""
     rng = random.Random(seed)
     inst = random_instance(rng, max_inner=12, max_base=30, max_lift=5)
-    dense, on_demand = Reachability(inst), Reachability(inst, _bitset_limit=0)
-    assert dense._dense and not on_demand._dense
+    table = oracles.reachable_sets(inst)
     nodes = [SOURCE, *inst.inner_nodes(), SINK]
     pairs = [(v, w) for v in nodes for w in nodes]
-    rng.shuffle(pairs)  # rows are memoized in whatever order they are asked for
-    for v, w in pairs:
-        assert on_demand.reaches(v, w) == dense.reaches(v, w)
+    rng.shuffle(pairs)
+    for reach in (inst.reachability, Reachability(inst.n, inst.base_edges)):
+        for v, w in pairs:
+            assert reach.reaches(v, w) == (w in table[v]), (v, w)
+        for v in nodes:
+            assert reach.reaches(v, v), "reachability must be reflexive"
+
+
+def test_reachability_rejects_a_cycle_instead_of_looping():
+    reach = Reachability(3, [(SOURCE, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, 2, 0.0)])
+    with pytest.raises(InstanceValidationError, match="cycle through node"):
+        reach.row(SOURCE)
+    with pytest.raises(InstanceValidationError, match="cycle through node 1"):
+        Reachability(1, [(1, 1, 0.0)]).row(1)
 
 
 def test_an_instance_with_reachability_is_freed_without_the_collector():

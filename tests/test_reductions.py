@@ -17,9 +17,10 @@ from generators import (
     worked_net,
 )
 from liftedpaths.driver import SolverConfig, solve
-from liftedpaths.instance import InstanceFormatError
+from liftedpaths.instance import SINK, SOURCE, Instance, InstanceFormatError
 from liftedpaths.reductions import (
     _DECISION_TOL,
+    _prune_to_routes,
     DecisionLimitError,
     McfProblem,
     ReductionError,
@@ -167,3 +168,59 @@ def test_a_decision_stopped_by_a_limit_raises_the_limit_error():
         decide_mcf(WORKED_NET, SolverConfig(time_limit=0.0))
     assert (sat.value.status, mcf.value.status) == ("round_limit", "time_limit")
     assert isinstance(sat.value, RuntimeError)
+
+
+def _raw_dag(rng: random.Random):
+    """An acyclic edge list over inner nodes 1..n with sparse entry and exit
+    arcs, so some nodes miss every route, and lifted pairs, connected or
+    not, one of them against the edges."""
+    n = rng.randint(1, 10)
+    base = [(SOURCE, v, 0.5) for v in range(1, n + 1) if rng.random() < 0.4]
+    base += [(v, SINK, -0.5) for v in range(1, n + 1) if rng.random() < 0.4]
+    base += [
+        (u, v, -1.0) for u in range(1, n) for v in range(u + 1, n + 1) if rng.random() < 0.4
+    ]
+    rng.shuffle(base)
+    forward = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+    backward = [(v, u) for u, v in forward[:1]]
+    pairs = rng.sample(forward, min(len(forward), 6)) + backward
+    lifted = [(u, v, rng.choice([-1.0, 2.0])) for u, v in pairs]
+    return n, base, lifted
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_pruning_keeps_route_nodes_and_connected_lifted_pairs(seed):
+    n, base, lifted = _raw_dag(random.Random(seed))
+    kept, base_kept, lifted_kept = oracles.prune_to_routes(n, base, lifted)
+    instance, remap = _prune_to_routes(n, base, lifted)
+    assert instance.n == len(kept)
+    assert remap == {SOURCE: SOURCE, SINK: SINK, **{v: i for i, v in enumerate(kept, 1)}}
+    assert list(instance.base_edges) == base_kept
+    assert list(instance.lifted_edges) == lifted_kept
+
+
+def test_pruning_drops_every_lifted_pair_when_none_survives():
+    # 1 -> 2 -> 3 is a route; 4 has no exit and 5 no entry, and (3, 1)
+    # runs against the edges, so no lifted pair survives.
+    base = [(SOURCE, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, SINK, 0.0),
+            (2, 4, 0.0), (SOURCE, 4, 0.0), (5, 3, 0.0)]
+    lifted = [(1, 4, -1.0), (5, 3, -1.0), (3, 1, -1.0)]
+    assert oracles.prune_to_routes(5, base, lifted)[2] == []
+    instance, remap = _prune_to_routes(5, base, lifted)
+    assert (instance.n, instance.lifted_edges) == (3, ())
+    assert remap == {SOURCE: SOURCE, SINK: SINK, 1: 1, 2: 2, 3: 3}
+
+
+def test_each_reduction_builds_exactly_one_instance(monkeypatch):
+    builds = []
+    build = Instance.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Instance, "__init__", counted)
+    reductions = [reduce_sat(SATISFIABLE), reduce_sat(UNSATISFIABLE), reduce_mcf(WORKED_NET)]
+    reductions += [reduce_mcf(random_net(random.Random(seed))) for seed in range(20)]
+    assert builds == [r.instance for r in reductions]

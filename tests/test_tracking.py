@@ -72,6 +72,8 @@ def test_gap_bands_widen_in_steps():
         pytest.param("lift_epsilon", -0.1, "lift epsilon must be", id="lift_epsilon=-0.1"),
         pytest.param("jobs", 0, "jobs must be at least 1", id="jobs=0"),
         pytest.param("jobs", -3, "jobs must be at least 1", id="jobs=-3"),
+        pytest.param("max_iterations", -1, "max iterations must be", id="max_iterations=-1"),
+        pytest.param("max_iterations", -3, "max iterations must be", id="max_iterations=-3"),
     ],
 )
 def test_interval_length_below_one_is_rejected(knob, value, message):
@@ -164,6 +166,41 @@ def test_refinement_beats_the_single_track():
     assert result.objective < one_track
     for before, after in zip(result.objective_trace, result.objective_trace[1:]):
         assert after <= before + 1e-9
+
+
+def test_zero_iterations_return_the_interval_tracklets_unmerged():
+    table, _ = interior_punisher_table()
+    config = TrackingConfig(fps=5.0, max_gap_frames=6, interval_length=15, max_iterations=0)
+    tracklets = tracking._interval_tracklets(table, config)
+    result = run_tracking(table, config)
+    assert (result.iterations, result.objective_trace) == (0, [])
+    assert result.tracks == sorted(tracklets)
+    assert result.tracklet_count == len(tracklets) > 1
+    assert result.objective == detection_objective(table, result.tracks, 6)
+
+
+def test_tracking_builds_one_instance_per_solve(monkeypatch):
+    builds, solves = [], []
+    build, solve = tracking.Instance.__init__, tracking.solve
+
+    def counted_build(self, *args, **kwargs):
+        builds.append(self)
+        build(self, *args, **kwargs)
+
+    def counted_solve(instance, *args, **kwargs):
+        solves.append(instance)
+        return solve(instance, *args, **kwargs)
+
+    monkeypatch.setattr(tracking.Instance, "__init__", counted_build)
+    monkeypatch.setattr(tracking, "solve", counted_solve)
+    table, _ = interior_punisher_table()
+    run_tracking(table, TrackingConfig(max_gap_frames=6, interval_length=15))
+    run_tracking(
+        planted_sequence(random.Random(5), frames=60, noise=0.3, clutter=8),
+        TrackingConfig(max_gap_frames=6, interval_length=10),
+    )
+    assert len(solves) > 6
+    assert builds == solves
 
 
 def test_short_planted_scene_is_recovered_exactly():
