@@ -17,6 +17,9 @@ writes the starting rows into it as arrays, straight from the instance, and
 each round appends only the separated rows that are new; only those are
 keyed for deduplication.  The master reads the store as it is.
 
+Each round makes one `solve_binary` call, which from round 2 on resumes the
+previous round's branch-and-bound search over the grown pool.
+
 The master objective is monotonically non-decreasing over rounds, and every
 round must contribute at least one previously unseen cut — both facts are
 asserted, since their failure would mean the separation logic is unsound.
@@ -74,10 +77,11 @@ class SolverConfig:
     """Tuning knobs for `solve`.
 
     `lifted_flow=None` means: add the per-frame label bounds exactly when the
-    instance carries frame data.  `node_limit` caps the branch-and-bound tree
-    of each master solve; exhausting it ends the run with `round_limit`.
+    instance carries frame data.  `node_limit` caps the LPs of each round's
+    master call, re-solves of nodes that new rows cut off included;
+    exhausting it ends the run with `round_limit`.
     `time_limit` (seconds) is checked before each round and before each
-    branch-and-bound node of the master; exceeding it ends the run with
+    LP the master solves; exceeding it ends the run with
     `time_limit`, keeping the last completed round's solution.
     """
 
@@ -98,7 +102,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class RoundStats:
     """One master-separate round: objective reached and cuts contributed,
-    with the master's branch-and-bound nodes and simplex pivots."""
+    with the branch-and-bound nodes and simplex pivots of this round's
+    master call (the search resumed from the previous round)."""
 
     round: int
     master_objective: float
@@ -305,7 +310,7 @@ def solve(
 
     trace: list[RoundStats] = []
     best: FlowSolution | None = None
-    warm = None
+    master = None
     prev_objective = -math.inf
     status = STATUS_ROUND_LIMIT
     certified = False
@@ -321,9 +326,9 @@ def solve(
             objective,
             pool,
             node_limit=config.node_limit,
-            warm_start=warm,
             deadline=deadline,
             cutoff=cutoff,
+            resume=master,
         )
         if master.status == "infeasible":
             raise MilpError("master problem infeasible; the empty flow should always fit")
@@ -336,7 +341,6 @@ def solve(
         if master.status == "time_limit":
             status = STATUS_TIME_LIMIT
             break
-        warm = master.values
         best = _solution_from_values(instance, master.values)
         assert best.objective >= prev_objective - 1e-9, (
             "master objective decreased across rounds"

@@ -2,8 +2,10 @@
 
 The LP core is a revised simplex over box-bounded variables (structural
 variables live in [0, 1] unless a caller tightens them; slacks in [0, inf)).
-A fresh LP is solved by the two-phase primal method; a crash point that
-already satisfies every row (each artificial is 0) skips phase 1, with the
+A fresh LP is solved by the two-phase primal method from a crash point with
+every structural at its lower bound, except a column that no starting row
+touches, which starts at its cheaper bound.  A crash point that already
+satisfies every row (each artificial is 0) skips phase 1, with the
 artificials frozen at 0.  Pricing is Dantzig's rule, switching to Bland's
 rule after 3*(m+n) degenerate pivots so cycling cannot occur.  Infeasibility
 is reported with the index of a constraint whose phase-1 artificial stays
@@ -20,11 +22,14 @@ The integer layer is best-first branch-and-bound over one live LP: every
 open node keeps the optimal basis of its LP, and a child restores its
 parent's basis, tightens the branched bound and reoptimises by dual pivots.
 Nodes are ordered by LP bound, branching picks the fractional variable with
-the largest objective stake, and a node whose bound is within 1e-9 of the
-incumbent is pruned.  With a cutoff, a node whose bound exceeds it by more
-than 1e-9 is pruned too, and a search that finds no solution at or below the
-cutoff ends with status "cutoff".  No cut generation happens here; callers
-add their own rows.
+the largest objective stake, and the first node popped with an integral
+vertex is the optimum.  Nothing is pruned against an incumbent, so the search
+stays valid as rows are added: a later call resumes it after the caller
+appended inequality rows, and only the open nodes those rows cut off are
+reoptimised, from their own bases; nothing is rebuilt or re-crashed.  With a
+cutoff, a node whose bound exceeds it by more than 1e-9 is pruned for good,
+and a search that finds no solution at or below the cutoff ends with status
+"cutoff".  No cut generation happens here; callers add their own rows.
 
 Each solve keeps its rows in one array store, `_RowStore` (entry row, column
 and coefficient arrays, plus sense, right-hand-side and tag arrays).  The
@@ -48,7 +53,7 @@ import math
 import operator
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -84,10 +89,6 @@ _ROUNDED_ROW_TOL = 1e-2
 
 class MilpError(RuntimeError):
     """Numerical breakdown or malformed input to the backend."""
-
-
-class _SingularBasis(MilpError):
-    """Basis matrix went numerically singular; solve again from a cold crash."""
 
 
 class VariableHandle(NamedTuple):
@@ -165,9 +166,10 @@ class BinaryResult:
     status: str  # "optimal" | "infeasible" | "cutoff" | "node_limit" | "time_limit"
     objective: float | None
     values: np.ndarray | None  # 0/1 ints aligned with `variables`
-    nodes_explored: int = 0
+    nodes_explored: int = 0  # LPs solved by this call, re-solves of stale nodes included
     bound: float | None = None  # best proven lower bound
-    lp_iterations: int = 0  # simplex pivots over all nodes, primal and dual
+    lp_iterations: int = 0  # simplex pivots of this call, primal and dual
+    _search: _Search | None = field(default=None, compare=False, repr=False)  # for `resume=`
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +264,19 @@ class _RowStore(Sequence):
             self.tags[self.tag[i]],
         )
 
-    def lhs(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.row, self.val * values[self.col], minlength=len(self.rhs))
-
-    def violated(self, values: np.ndarray, tol: float = _TOL_FEAS) -> np.ndarray:
-        """Mask of the rows that `values` violates by more than `tol`."""
-        gap = self.lhs(values) - self.rhs
-        gap = np.where(
-            self.sense == _SENSE_LE, gap, np.where(self.sense == _SENSE_GE, -gap, np.abs(gap))
+    def lhs(self, values: np.ndarray, first: int = 0) -> np.ndarray:
+        """Left-hand sides of the rows from `first` on, at `values`."""
+        k = self.start[first]
+        return np.bincount(
+            self.row[k:] - first, self.val[k:] * values[self.col[k:]], minlength=len(self) - first
         )
+
+    def violated(self, values: np.ndarray, tol: float = _TOL_FEAS, first: int = 0) -> np.ndarray:
+        """Mask of the rows from `first` on that `values` violates by more
+        than `tol`."""
+        gap = self.lhs(values, first) - self.rhs[first:]
+        sense = self.sense[first:]
+        gap = np.where(sense == _SENSE_LE, gap, np.where(sense == _SENSE_GE, -gap, np.abs(gap)))
         return gap > tol
 
     def entries(self, idx: np.ndarray, first_slack: int) -> tuple[np.ndarray, ...]:
@@ -294,14 +300,16 @@ class _Simplex:
     """A live LP: min c.x  s.t.  the non-empty rows of `rows`,  lo <= x <= up.
 
     The LP's rows are `active`, indices into the store in LP row order; the
-    rest of the non-empty rows are `pending`.  `solve` runs the two-phase
-    primal method from a crash point, or phase 2 alone when the crash is
-    feasible.  After it, `restore` (a stored basis under new structural
-    bounds) and `add_rows` keep the basis dual feasible, and `reoptimise`
-    recovers an optimum by dual pivots.  Past `_LAZY_ROW_THRESHOLD`
-    non-empty rows only the equality rows start active; `solve` and
-    `reoptimise` both append the pending rows the vertex violates and
-    reoptimise until none is.
+    rest of the non-empty rows are `pending`, and a caller may add store
+    rows appended later to them.  `solve` runs the two-phase primal method
+    from the crash point (structurals at their lower bounds, or at their
+    cheaper bounds where no active row touches them), or phase 2 alone when
+    the crash is feasible.  After it, `restore` (a stored basis under new
+    structural bounds) and `add_rows` keep the basis dual feasible, and
+    `reoptimise` recovers an optimum by dual pivots.  Past
+    `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
+    active; `solve` and `reoptimise` both append the pending rows the vertex
+    violates and reoptimise until none is.
     The LP matrix is the entries (`a_row`, `a_col`, `a_val`) in LP row and
     column numbering, sorted by column, with column j's entries at
     `a_ptr[j]:a_ptr[j + 1]`.  A repeated entry adds up.  `add_rows` merges
@@ -315,7 +323,6 @@ class _Simplex:
         lo: np.ndarray,
         up: np.ndarray,
         iteration_limit: int | None = None,
-        start: np.ndarray | None = None,
     ):
         self.rows = rows
         first = rows.nonempty
@@ -332,16 +339,14 @@ class _Simplex:
         ineq = np.flatnonzero(senses != _SENSE_EQ)
         nslack_end = self.nstruct + len(ineq)
 
-        # Crash point: every structural sits on a bound.  With a start hint
-        # (typically the vertex of a closely related LP) each coordinate snaps
-        # to its nearer bound, which leaves few violated rows for phase 1 to
-        # repair; otherwise start from the lower bounds.
+        # Crash point: every structural sits on its lower bound, except that
+        # a column no active row touches sits on its cheaper bound.  Such a
+        # column moves no basic variable and changes no dual, so starting it
+        # there saves a pricing pass per bound flip and changes no basis.
+        untouched = np.ones(self.nstruct, dtype=bool)
+        untouched[cidx[cidx < self.nstruct]] = False
         x0 = np.where(np.isfinite(lo), lo, 0.0)
-        if start is not None:
-            mid = np.where(
-                np.isfinite(lo) & np.isfinite(up), (lo + up) / 2.0, np.inf
-            )
-            x0 = np.where(start >= mid, up, x0)
+        x0 = np.where(untouched & (c < 0) & np.isfinite(up), up, x0)
         resid = (rows.rhs - rows.lhs(x0))[self.active]
 
         # Crash basis: a slack where it is feasible, else an artificial
@@ -425,7 +430,7 @@ class _Simplex:
         try:
             self.Binv = np.linalg.solve(self._columns(self.basis), np.eye(self.m))
         except np.linalg.LinAlgError as exc:
-            raise _SingularBasis(f"singular basis during refactorization: {exc}") from None
+            raise MilpError(f"singular basis during refactorization: {exc}") from None
         xfull = self.x.copy()
         xfull[self.basis] = 0.0
         ax = np.bincount(self.a_row, self.a_val * xfull[self.a_col], minlength=self.m)
@@ -697,31 +702,6 @@ def _per_variable(values: Sequence[float], n: int, name: str) -> np.ndarray:
     return vector
 
 
-def _solve_root(
-    objective: np.ndarray,
-    rows: _RowStore,
-    lo: np.ndarray,
-    up: np.ndarray,
-    iteration_limit: int | None = None,
-    start: np.ndarray | None = None,
-) -> tuple[_Simplex, str, int | None]:
-    """Build the live LP (the empty rows must be satisfiable) and solve it:
-    (simplex, status, blocking row index into `rows` or None)."""
-
-    def attempt(hint):
-        simplex = _Simplex(objective, rows, lo, up, iteration_limit, hint)
-        return (simplex, *simplex.solve())
-
-    try:
-        return attempt(start)
-    except _SingularBasis:
-        if start is None:
-            raise
-        # The warm crash point led pivoting into a numerically singular
-        # basis; it is only a hint, so retry from the default cold crash.
-        return attempt(None)
-
-
 def solve_lp(
     variables: Sequence[VariableHandle],
     objective: Sequence[float],
@@ -752,7 +732,8 @@ def solve_lp(
     bad = np.flatnonzero(~rows.nonempty & rows.violated(np.zeros(n)))
     if bad.size:
         return LpResult("infeasible", None, None, infeasible_constraint=int(bad[0]))
-    simplex, status, row = _solve_root(c, rows, lo, up, iteration_limit)
+    simplex = _Simplex(c, rows, lo, up, iteration_limit)
+    status, row = simplex.solve()
     if status == "infeasible":
         return LpResult("infeasible", None, None, row, simplex.pivots)
     if status != "optimal":
@@ -766,118 +747,142 @@ def solve_lp(
 # ---------------------------------------------------------------------------
 
 
+class _Search:
+    """The best-first search of `solve_binary`, kept alive across calls.
+
+    An open node is (LP bound, tie counter, LP values, lo, up, basis, seen):
+    its values satisfy the first `seen` store rows and `basis` is its LP's
+    optimal basis; a child not solved yet has no values and its parent's
+    bound and basis.  The live LP knows the first `known` store rows.
+    """
+
+    def __init__(self, c: np.ndarray, rows: _RowStore, cutoff: float | None):
+        n = len(c)
+        self.c, self.rows, self.cutoff = c, rows, cutoff
+        self.lp = _Simplex(c, rows, np.zeros(n), np.ones(n))
+        self.known, self.counter = len(rows), 0
+        self.cut_bound = math.inf  # the least bound the cutoff has pruned
+        # The root, solved from the crash point when first popped.
+        self.heap: list[tuple] = [(-math.inf, 0, None, np.zeros(n), np.ones(n), None, 0)]
+
+    def grow(self) -> None:
+        """Make the store rows appended since the last call pending LP rows."""
+        rows, new = self.rows, np.arange(self.known, len(self.rows))
+        if (rows.sense[new] == _SENSE_EQ).any():
+            raise MilpError("a resumed search takes only appended inequality rows")
+        if (~rows.nonempty[new] & rows.violated(np.zeros(len(self.c)), first=self.known)).any():
+            self.heap.clear()  # an empty row that no point satisfies
+            self.cut_bound = math.inf
+        self.lp.pending = np.concatenate([self.lp.pending, new[rows.nonempty[new]]])
+        self.known = len(rows)
+
+    def run(self, node_limit: int | None, deadline: float | None) -> BinaryResult:
+        """Search until the least open node is integral and current; only
+        the root is solved whatever the limits."""
+        c, rows, lp, heap = self.c, self.rows, self.lp, self.heap
+        nodes, pivots = 0, lp.pivots
+        while heap:
+            bound, tie, vals, lo, up, basis, seen = heap[0]
+            if vals is not None and seen < self.known:
+                if not rows.violated(vals, first=seen).any():
+                    heapq.heapreplace(heap, (bound, tie, vals, lo, up, basis, self.known))
+                    continue
+                vals = None  # a row appended since its LP cuts it off
+            if vals is None:
+                full = node_limit is not None and nodes >= node_limit
+                late = basis is not None and deadline is not None and time.monotonic() >= deadline
+                if full or late:  # best-first: the top node has the least open bound
+                    stopped = "node_limit" if full else "time_limit"
+                    return BinaryResult(stopped, None, None, nodes, bound, lp.pivots - pivots, self)
+                heapq.heappop(heap)
+                nodes += 1
+                if basis is None:
+                    status = lp.solve()[0]
+                else:
+                    lp.restore(basis, lo, up)
+                    status = lp.reoptimise()
+                if status == "infeasible":
+                    continue
+                if status != "optimal":
+                    raise MilpError(f"LP subproblem ended with status {status}")
+                vals = lp.structural_values()
+                obj = float(c @ vals)
+                if self.cutoff is not None and obj > self.cutoff + _GAP_TOL:
+                    self.cut_bound = min(self.cut_bound, obj)  # pruned for good
+                    continue
+                self.counter += 1
+                heapq.heappush(heap, (obj, self.counter, vals, lo, up, lp.snapshot(), self.known))
+                continue
+            frac = np.abs(vals - np.round(vals))
+            if float(frac.max(initial=0.0)) <= _INTEGRALITY_TOL:
+                # The optimum.  It stays open: a row appended later may cut it off.
+                cand = np.clip(np.round(vals), lo, up)
+                if rows.violated(cand, _ROUNDED_ROW_TOL).any():
+                    raise MilpError("integral LP vertex failed row re-check")
+                obj = math.fsum(float(ci) for ci, vi in zip(c, cand) if vi)
+                return BinaryResult(
+                    "optimal", obj, cand.astype(np.int64), nodes, obj, lp.pivots - pivots, self
+                )
+            heapq.heappop(heap)
+            # Branch on the fractional variable with the largest objective stake,
+            # breaking ties toward the most fractional value: fixing high-cost
+            # variables first moves the child bounds furthest apart.
+            scores = np.where(
+                frac > _INTEGRALITY_TOL,
+                (np.abs(c) + 1.0) * (0.5 - np.abs(vals - 0.5) + 1e-6),
+                -np.inf,
+            )
+            j = int(np.argmax(scores))
+            for fixed in (0.0, 1.0):
+                child_lo, child_up = lo.copy(), up.copy()
+                child_lo[j] = child_up[j] = fixed
+                self.counter += 1
+                heapq.heappush(heap, (bound, self.counter, None, child_lo, child_up, basis, 0))
+        status = "cutoff" if self.cut_bound < math.inf else "infeasible"
+        bound = self.cut_bound if status == "cutoff" else None
+        return BinaryResult(status, None, None, nodes, bound, lp.pivots - pivots, self)
+
+
 def solve_binary(
     variables: Sequence[VariableHandle],
     objective: Sequence[float],
     constraints: Sequence[LinearConstraint],
     *,
     node_limit: int | None = None,
-    warm_start: Sequence[float] | None = None,
     deadline: float | None = None,
     cutoff: float | None = None,
+    resume: BinaryResult | None = None,
 ) -> BinaryResult:
     """Minimize over {0,1}^n subject to `constraints` (exact, best-first), a
     sequence of `LinearConstraint`s or a row store over `variables`.
 
-    `warm_start` seeds the root LP's crash point (a hint, not a bound); any
-    vector of per-variable values in [0, 1] is accepted.  `node_limit` caps
-    the LPs solved.  `deadline` is a `time.monotonic()` instant checked
-    before every node after the root; once it has passed, the search stops
-    with status "time_limit".  A search stopped by either limit reports the
-    incumbent, if any, and a proven lower bound.  `cutoff` prunes every
-    node whose LP bound exceeds it by more than 1e-9, never one at or below
-    it; when no solution is found and some node was pruned this way, the
-    status is "cutoff" and `bound` is the least bound pruned, a proof that
-    no solution has an objective at or below the cutoff.  The objective and
-    `warm_start` must have one entry per variable, or `MilpError` is raised.
+    `resume` continues an earlier result's search over the same row store,
+    objective and cutoff after inequality rows were appended to the store
+    (anything else raises `MilpError`): open nodes whose vertex a new row
+    cuts off are reoptimised from their own basis, and no LP is rebuilt.
+    `node_limit` caps the LPs this call solves, re-solves included.
+    `deadline` is a `time.monotonic()` instant checked before every LP solve
+    but the root's.  A search stopped by either limit has status
+    "node_limit" or "time_limit", no solution and the least open bound.
+    `cutoff` prunes every node whose LP bound exceeds it by more than 1e-9;
+    when no solution is found and some node was pruned this way, the status
+    is "cutoff" and `bound` is the least bound pruned, a proof that no
+    solution is at or below the cutoff.  The objective must have one entry
+    per variable, or `MilpError` is raised.
     """
     n = len(variables)
     c = _per_variable(objective, n, "objective")
-    root_start = None if warm_start is None else _per_variable(warm_start, n, "warm_start")
     rows = _row_store(variables, constraints)
+    if resume is not None:
+        search = resume._search
+        if search is None or rows is not search.rows:
+            raise MilpError("resume needs the live search over this row store")
+        if not np.array_equal(c, search.c) or cutoff != search.cutoff:
+            raise MilpError("resume needs the objective and cutoff the search started with")
+        search.grow()
+        return search.run(node_limit, deadline)
     if node_limit is not None and node_limit <= 0:
         return BinaryResult("node_limit", None, None, 0, None)
     if (~rows.nonempty & rows.violated(np.zeros(n))).any():
         return BinaryResult("infeasible", None, None, 1, None)
-    lp, status, _ = _solve_root(c, rows, np.zeros(n), np.ones(n), start=root_start)
-
-    inc_obj = math.inf
-    inc_vals: np.ndarray | None = None
-    cut_bound = math.inf  # least LP bound pruned by the cutoff
-    nodes = 1
-    counter = 0
-    # Open nodes: (LP bound, tie counter, LP values, lo, up, optimal basis).
-    heap: list[tuple] = []
-
-    def settle(status: str, lo: np.ndarray, up: np.ndarray) -> None:
-        nonlocal counter, cut_bound
-        if status == "infeasible":
-            return
-        if status != "optimal":
-            raise MilpError(f"LP subproblem ended with status {status}")
-        vals = lp.structural_values()
-        obj = float(c @ vals)
-        if cutoff is not None and obj > cutoff + _GAP_TOL:
-            cut_bound = min(cut_bound, obj)
-            return
-        if obj >= inc_obj - _GAP_TOL:
-            return
-        counter += 1
-        heapq.heappush(heap, (obj, counter, vals, lo, up, lp.snapshot()))
-
-    settle(status, np.zeros(n), np.ones(n))
-    stopped = None
-    while heap:
-        bound, _, vals, lo, up, basis = heapq.heappop(heap)
-        if bound >= inc_obj - _GAP_TOL:
-            break
-        frac = np.abs(vals - np.round(vals))
-        if n == 0 or float(frac.max(initial=0.0)) <= _INTEGRALITY_TOL:
-            cand = np.clip(np.round(vals), lo, up)
-            if rows.violated(cand, _ROUNDED_ROW_TOL).any():
-                raise MilpError("integral LP vertex failed row re-check")
-            obj = math.fsum(float(ci) for ci, vi in zip(c, cand) if vi)
-            if obj < inc_obj:
-                inc_obj = obj
-                inc_vals = cand.astype(np.int64)
-            continue
-        # Branch on the fractional variable with the largest objective stake,
-        # breaking ties toward the most fractional value: fixing high-cost
-        # variables first moves the child bounds furthest apart.
-        fractional = frac > _INTEGRALITY_TOL
-        scores = np.where(
-            fractional,
-            (np.abs(c) + 1.0) * (0.5 - np.abs(vals - 0.5) + 1e-6),
-            -np.inf,
-        )
-        j = int(np.argmax(scores))
-        up0 = up.copy()
-        up0[j] = 0.0
-        lo1 = lo.copy()
-        lo1[j] = 1.0
-        for child_lo, child_up in ((lo, up0), (lo1, up)):
-            if node_limit is not None and nodes >= node_limit:
-                stopped = "node_limit"
-            elif deadline is not None and time.monotonic() >= deadline:
-                stopped = "time_limit"
-            if stopped:
-                break
-            nodes += 1
-            lp.restore(basis, child_lo, child_up)
-            settle(lp.reoptimise(), child_lo, child_up)
-        if stopped:
-            # Best-first: the node being expanded had the least open bound.
-            return BinaryResult(
-                stopped,
-                inc_obj if inc_vals is not None else None,
-                inc_vals,
-                nodes,
-                min(bound, inc_obj),
-                lp.pivots,
-            )
-
-    if inc_vals is None:
-        if cut_bound < math.inf:
-            return BinaryResult("cutoff", None, None, nodes, cut_bound, lp.pivots)
-        return BinaryResult("infeasible", None, None, nodes, None, lp.pivots)
-    return BinaryResult("optimal", inc_obj, inc_vals, nodes, inc_obj, lp.pivots)
+    return _Search(c, rows, cutoff).run(node_limit, deadline)

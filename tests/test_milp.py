@@ -209,7 +209,6 @@ def test_binary_stops_at_the_node_limit():
     [
         pytest.param(solve_binary, [1.0], {}, id="binary-objective-1"),
         pytest.param(solve_binary, [1.0, 1.0, 1.0], {}, id="binary-objective-3"),
-        pytest.param(solve_binary, [1.0, 1.0], {"warm_start": [1.0]}, id="binary-warm_start-1"),
         pytest.param(solve_lp, [1.0], {}, id="lp-objective-1"),
         pytest.param(solve_lp, [1.0, 1.0], {"lower": [0.0]}, id="lp-lower-1"),
         pytest.param(solve_lp, [1.0, 1.0], {"upper": [1.0, 1.0, 1.0]}, id="lp-upper-3"),
@@ -220,16 +219,6 @@ def test_per_variable_inputs_must_match_the_variables(solve, objective, options)
     rows = [LinearConstraint(tuple((h, 1.0) for h in vs), "<=", 1.5, "t")]
     with pytest.raises(milp.MilpError, match="length does not match variables"):
         solve(vs, objective, rows, **options)
-
-
-def test_binary_warm_start_is_only_a_hint():
-    vs = handles(2)
-    rows = [LinearConstraint(tuple((h, 1.0) for h in vs), "<=", 1.5, "t")]
-    plain = solve_binary(vs, [-1.0, -2.0], rows)
-    for hint in ([0.0, 0.0], [1.0, 1.0], [0.3, 0.9]):
-        warm = solve_binary(vs, [-1.0, -2.0], rows, warm_start=hint)
-        assert warm.status == "optimal"
-        assert warm.objective == pytest.approx(plain.objective, abs=1e-9)
 
 
 def parity_program(rng):
@@ -265,6 +254,132 @@ def assert_matches_enumeration(vs, objective, rows, mine):
 def test_reoptimised_branching_agrees_with_enumeration(seed):
     vs, objective, rows = parity_program(random.Random(seed))
     assert_matches_enumeration(vs, objective, rows, solve_binary(vs, objective, rows))
+
+
+def resume_case(rng):
+    """A parity program cut in two: the first batch holds every equality
+    row, the second the rest of its rows plus 0-3 rows that pick some
+    binaries to be all on or at most one on.  The cutoff is None or lies
+    0-1 above the first batch's optimum, so the second batch can push the
+    optimum past it."""
+    vs, objective, rows = parity_program(rng)
+    first = [r for r in rows if r.sense == "=" or rng.random() < 0.5]
+    second = [r for r in rows if r not in first]
+    for _ in range(rng.randint(0, 3)):
+        picked = rng.sample(vs, rng.randint(2, 4))
+        sense, rhs = rng.choice((("<=", 1.0), (">=", float(len(picked)))))
+        second.append(LinearConstraint(tuple((h, 1.0) for h in picked), sense, rhs, "cut"))
+    cutoff = None
+    if rng.random() < 0.5:
+        head = solve_binary(vs, objective, first)
+        if head.status == "optimal":
+            cutoff = head.objective + rng.choice((0.0, 0.5, 1.0))
+    return vs, objective, first, second, cutoff
+
+
+def resumed(vs, objective, first, second, cutoff, **limits):
+    """Solve on `first`, append `second` to the store and resume."""
+    store = milp._row_store(vs, first)
+    head = solve_binary(vs, objective, store, cutoff=cutoff)
+    store.extend(second)
+    return head, solve_binary(vs, objective, store, cutoff=cutoff, resume=head, **limits)
+
+
+def check_resumed_search(seed):
+    """The resumed search ends as a fresh solve over every row does, and as
+    enumeration says; returns (first status, resumed status)."""
+    vs, objective, first, second, cutoff = resume_case(random.Random(seed))
+    rows = first + second
+    head, out = resumed(vs, objective, first, second, cutoff)
+    fresh = solve_binary(vs, objective, rows, cutoff=cutoff)
+    status, best, _ = oracles.binary_reference(vs, objective, rows)
+    if status == "infeasible" and cutoff is not None:
+        # A search that pruned by the cutoff proves "nothing at or below
+        # it" whether or not the rows admit a point at all.
+        assert out.status in ("infeasible", "cutoff")
+        assert fresh.status in ("infeasible", "cutoff")
+    else:
+        assert out.status == fresh.status
+    if out.status == "optimal":
+        assert status == "optimal"
+        assert out.objective == pytest.approx(best, abs=1e-9)
+        assert fresh.objective == pytest.approx(best, abs=1e-9)
+        values = dict(zip(vs, (float(x) for x in out.values)))
+        for row in rows:
+            assert check_violation(row, values) == 0.0
+    elif out.status == "cutoff":
+        assert out.objective is None and out.bound > cutoff
+        if status == "optimal":
+            assert best > cutoff
+            assert out.bound <= best + 1e-9
+    else:
+        assert out.status == status == "infeasible"
+    return head.status, out.status
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_resumed_search_agrees_with_a_fresh_solve_and_enumeration(seed):
+    check_resumed_search(seed)
+
+
+def test_resumed_searches_end_in_every_status():
+    ends = {check_resumed_search(seed) for seed in range(60)}
+    assert {("optimal", "optimal"), ("optimal", "infeasible"), ("optimal", "cutoff")} <= ends
+
+
+def test_resume_refuses_another_store_objective_or_cutoff_and_equality_rows():
+    vs = handles(3)
+    rows = [LinearConstraint(tuple((h, 2.0) for h in vs), "<=", 3.0, "t")]
+    objective = [-1.0, -1.0, -2.0]
+    store = milp._row_store(vs, rows)
+    head = solve_binary(vs, objective, store)
+    assert head.status == "optimal"
+    refused = [
+        (objective, list(store), None),
+        (objective, milp._row_store(vs, rows), None),
+        ([-1.0, -1.0, -1.0], store, None),
+        (objective, store, 0.0),
+    ]
+    for costs, again, cutoff in refused:
+        with pytest.raises(milp.MilpError, match="resume needs"):
+            solve_binary(vs, costs, again, cutoff=cutoff, resume=head)
+    with pytest.raises(milp.MilpError, match="resume needs"):
+        solve_binary(vs, objective, store, resume=solve_binary(vs, objective, store, node_limit=0))
+    store.extend([LinearConstraint(((vs[0], 1.0),), "=", 0.0, "t")])
+    with pytest.raises(milp.MilpError, match="only appended inequality rows"):
+        solve_binary(vs, objective, store, resume=head)
+
+
+def test_an_appended_empty_row_that_fails_at_zero_ends_the_search_infeasible():
+    vs = handles(2)
+    store = milp._row_store(vs, [LinearConstraint(tuple((h, 2.0) for h in vs), "<=", 3.0, "t")])
+    head = solve_binary(vs, [-1.0, -1.0], store, cutoff=-1.5)
+    assert head.status == "cutoff"
+    store.extend([LinearConstraint((), "<=", -1.0, "t")])
+    out = solve_binary(vs, [-1.0, -1.0], store, cutoff=-1.5, resume=head)
+    assert solve_binary(vs, [-1.0, -1.0], list(store), cutoff=-1.5).status == "infeasible"
+    assert (out.status, out.bound) == ("infeasible", None)
+
+
+def test_limits_inside_a_resumed_call_report_a_bound_below_the_fresh_optimum():
+    stops = []
+    for seed in range(40):
+        vs, objective, first, second, _ = resume_case(random.Random(seed))
+        fresh = solve_binary(vs, objective, first + second)
+        if fresh.status != "optimal":
+            continue
+        for limits in ({"node_limit": 1}, {"deadline": time.monotonic() - 1.0}):
+            head, out = resumed(vs, objective, first, second, None, **limits)
+            if out.status == "optimal":
+                assert out.objective == pytest.approx(fresh.objective, abs=1e-9)
+                continue
+            assert out.status in ("node_limit", "time_limit")
+            assert out.objective is None and out.values is None
+            assert out.bound <= fresh.objective + 1e-9
+            assert out.nodes_explored <= limits.get("node_limit", 0)
+            stops.append(out.status)
+    assert {"node_limit", "time_limit"} <= set(stops)
 
 
 class SimplexLog:
@@ -523,6 +638,21 @@ def count_phase_ones(monkeypatch):
 
     monkeypatch.setattr(milp._Simplex, "_phase", recorded)
     return calls
+
+
+def test_columns_no_row_touches_start_at_their_cheaper_bound():
+    vs = handles(4)
+    rows = [LinearConstraint(((vs[0], 1.0), (vs[3], 1.0)), "<=", 1.0, "t")]
+    # x1 (cost -1) and x2 (cost 2) appear in no row: the crash puts them at
+    # 1 and 0, which is optimal, so no pivot or bound flip is needed.
+    out = solve_lp(vs, [1.0, -1.0, 2.0, 0.0], rows)
+    assert out.status == "optimal"
+    assert out.values.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert out.iterations == 0
+    # A column that a row touches still starts at its lower bound.
+    out = solve_lp(vs, [1.0, -1.0, 2.0, -1.0], rows)
+    assert out.values.tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert out.iterations == 1
 
 
 def test_phase_one_runs_only_from_an_infeasible_crash(monkeypatch):
