@@ -35,7 +35,6 @@ from .instance import (
     InstanceValidationError,
     Reachability,
     active_st_paths,
-    compute_reachability,
     evaluate_objective,
     format_solution,
     lifted_labels_from_flow,
@@ -97,7 +96,6 @@ __all__ = [
     "InstanceFormatError",
     "InstanceValidationError",
     "Reachability",
-    "compute_reachability",
     "FlowSolution",
     "evaluate_objective",
     "active_st_paths",

@@ -311,11 +311,6 @@ class Reachability:
         return self.reaches(*pair)
 
 
-def compute_reachability(instance: Instance) -> Reachability:
-    """Reachability over the base graph (built with the instance)."""
-    return instance.reachability
-
-
 # -- solutions -------------------------------------------------------------
 
 

@@ -15,15 +15,17 @@ from generators import (
     DEMO_PATH,
     ONE_CUT_MASTER_OBJECTIVE,
     ONE_CUT_OBJECTIVE,
+    SATISFIABLE_FORMULA,
     TWO_ROUND_OBJECTIVE,
     demo_instance,
     framed_instance,
     one_cut_instance,
+    planted_sequence,
     random_instance,
     tightening_instance,
     two_round_instance,
 )
-from liftedpaths import driver, milp
+from liftedpaths import driver, milp, tracking
 from liftedpaths.constraints import (
     TAG_CUT_IN,
     TAG_CUT_OUT,
@@ -49,6 +51,7 @@ from liftedpaths.driver import (
 from liftedpaths.instance import SINK, SOURCE, FlowSolution, Instance, active_st_paths
 from liftedpaths.milp import check_violation
 from liftedpaths.oracle import brute_force_optimum
+from liftedpaths.reductions import reduce_sat
 
 SEEDS = st.integers(0, 10_000)
 
@@ -353,20 +356,25 @@ def reference_initial_rows(inst: Instance, config: SolverConfig):
     return kept, dropped
 
 
-def assert_store_matches_the_reference(inst: Instance, config: SolverConfig) -> int:
-    """Row for row and term for term, the arrays included; returns the
-    number of rows dedup dropped."""
+#: Both initial-row builders; `build_initial_constraints` picks one by size.
+BUILDERS = (driver._loop_rows, driver._array_rows)
+
+
+def assert_store_matches_the_reference(inst: Instance, config: SolverConfig, build) -> int:
+    """Row for row and term for term, the arrays included, for the store
+    that `build` writes; returns the number of rows dedup dropped."""
+    variables = master_variables(inst)[0]
     try:
         kept, dropped = reference_initial_rows(inst, config)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            build_initial_constraints(inst, config)
+            build(inst, config, variables)
         return 0
-    store = build_initial_constraints(inst, config)
+    store = build(inst, config, variables)
     assert len(store) == len(kept)
     assert list(store) == kept
     assert [store[i] for i in range(-len(kept), 0)] == kept
-    indexed = milp._row_store(master_variables(inst)[0], kept)
+    indexed = milp._row_store(variables, kept)
     for name in ("row", "col", "val", "sense", "rhs"):
         ours, theirs = getattr(store, name), getattr(indexed, name)
         assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist(), name
@@ -384,20 +392,71 @@ def test_the_array_builder_matches_the_per_row_builders(seed, framed, lifted_flo
     inst = random_instance(rng, max_inner=10, max_base=24, max_lift=8)
     if framed:
         inst = with_frames(inst)
-    assert_store_matches_the_reference(inst, SolverConfig(lifted_flow=lifted_flow))
+    for build in BUILDERS:
+        assert_store_matches_the_reference(inst, SolverConfig(lifted_flow=lifted_flow), build)
 
 
 def test_the_array_builder_matches_past_the_two_hop_budget():
     inst = layered_instance()
-    assert_store_matches_the_reference(inst, SolverConfig())
-    framed = with_frames(inst)
-    assert_store_matches_the_reference(framed, SolverConfig())
+    for build in BUILDERS:
+        assert_store_matches_the_reference(inst, SolverConfig(), build)
+        assert_store_matches_the_reference(with_frames(inst), SolverConfig(), build)
+
+
+def test_both_builders_order_and_keep_rows_beside_a_direct_edge():
+    """Lifted (1, 3) beside the base path 1 -> 2 -> 3, with the base edge
+    (1, 3) listed first or last.  Listed last, it ends both cut rows, which
+    still differ; listed first, the two-hop row's edges onto the path come
+    in index order, (1, 3) before (1, 2)."""
+    around = [(SOURCE, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, SINK, 0.0)]
+    for base in ([(1, 3, 0.0)] + around, around + [(1, 3, 0.0)]):
+        inst = Instance(3, base, [(1, 3, -1.0)])
+        for build in BUILDERS:
+            assert_store_matches_the_reference(inst, SolverConfig(), build)
+            assert sum(row.tag == TAG_CUT_IN for row in build(
+                inst, SolverConfig(), master_variables(inst)[0])) == 1
+
+
+def test_both_builders_write_no_rows_for_the_empty_instance():
+    for build in BUILDERS:
+        assert_store_matches_the_reference(Instance(0, []), SolverConfig(), build)
+
+
+def test_both_builders_need_frames_for_the_lifted_flow_rows():
+    inst = layered_instance()
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match="need frame annotations"):
+            build(inst, SolverConfig(lifted_flow=True), master_variables(inst)[0])
+
+
+def interval_instance() -> Instance:
+    """Stage 1's instance for the first interval of a small planted sequence."""
+    table = planted_sequence(random.Random(4), frames=30, noise=0.2, clutter=4)
+    inside = {(u, v): c for (u, v), c in table.base.items() if v[0] < 10}
+    lifted = {(u, v): c for (u, v), c in table.lift.items() if v[0] < 10}
+    detections = [d for d in table.detections if d[0] < 10]
+    config = tracking.TrackingConfig(interval_length=10)
+    return tracking._build_detection_instance(detections, inside, lifted, config)[0]
+
+
+def test_both_builders_match_on_a_stage_one_interval():
+    inst = interval_instance()
+    assert inst.frames is not None
+    for build in BUILDERS:
+        for lifted_flow in (None, False):
+            assert_store_matches_the_reference(inst, SolverConfig(lifted_flow=lifted_flow), build)
+
+
+def test_intervals_are_built_with_arrays_and_reductions_by_the_loop():
+    assert driver._uses_arrays(interval_instance())
+    assert not driver._uses_arrays(reduce_sat(SATISFIABLE_FORMULA).instance)
 
 
 def test_the_array_builder_drops_cut_in_rows_that_repeat_their_cut_out_row():
     rng = random.Random(5)
-    dropped = sum(
-        assert_store_matches_the_reference(random_instance(rng), SolverConfig())
-        for _ in range(40)
-    )
-    assert dropped > 0
+    instances = [random_instance(rng) for _ in range(40)]
+    for build in BUILDERS:
+        dropped = sum(
+            assert_store_matches_the_reference(inst, SolverConfig(), build) for inst in instances
+        )
+        assert dropped > 0
