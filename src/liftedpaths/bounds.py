@@ -28,7 +28,7 @@ from .constraints import (
     build_single_node_cut,
     build_symmetric_cut,
 )
-from .driver import master_variables
+from .driver import _unseen, master_variables
 from .instance import SINK, SOURCE, Instance, Reachability
 from .milp import LinearConstraint, solve_lp
 
@@ -223,14 +223,7 @@ def enumerate_family(
                             build_symmetric_cut(instance, reach, li, wit, variant=variant)
                         )
 
-    unique: list[LinearConstraint] = []
-    seen = set()
-    for row in rows:
-        key = row.key()
-        if key not in seen:
-            seen.add(key)
-            unique.append(row)
-    return unique
+    return _unseen(rows, set())
 
 
 def lp_bound(
@@ -246,11 +239,7 @@ def lp_bound(
     rows: list[LinearConstraint] = []
     seen = set()
     for family in dict.fromkeys(families):
-        for row in enumerate_family(instance, reach, family, max_path_len):
-            key = row.key()
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
+        rows += _unseen(enumerate_family(instance, reach, family, max_path_len), seen)
     variables, objective = master_variables(instance)
     result = solve_lp(variables, objective, rows)
     if result.status != "optimal":

@@ -1,10 +1,10 @@
 """Cutting-plane driver: exact solver for lifted disjoint paths instances.
 
 The master problem is a binary program over node indicators, base-edge flow
-variables and lifted-edge labels.  It starts from the always-valid rows
-(flow conservation, the two single-node cuts per lifted edge, the per-frame
-label bounds when frame data is present, and the path inequalities of one-
-and two-edge witness paths) and alternates
+variables and lifted-edge labels.  It starts from always-valid rows (flow
+conservation and, on small instances, the two single-node cuts per lifted
+edge, the per-frame label bounds when frame data is present, and the path
+inequalities of one- and two-edge witness paths) and alternates
 
     solve master  ->  separate at the integral optimum  ->  add cuts
 
@@ -15,10 +15,10 @@ an unviolated integral point carries exactly the labels its flow realizes.
 The pool is one row store (`milp._RowStore`).  `build_initial_constraints`
 writes the starting rows into it as arrays, straight from the instance, and
 each round appends only the separated rows that are new; only those are
-keyed for deduplication.  The master reads the store as it is.  Small
-instances get their starting rows from a per-row loop, larger ones (2n +
-lifted edges from `_ARRAY_ROWS_FROM` on) from NumPy array operations; both
-write the same rows, entry for entry.
+keyed for deduplication.  The master reads the store as it is.  From
+`_FLOW_ONLY_FROM` (2n + lifted edges) on, the store starts from the flow
+rows alone: since the separators are complete, the other starting rows only
+save rounds, and on large instances they do not pay for their building.
 
 Each round makes one `solve_binary` call, which from round 2 on resumes the
 previous round's branch-and-bound search over the grown pool.
@@ -35,8 +35,6 @@ import time
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constraints import (
     TAG_CUT_IN,
@@ -81,10 +79,9 @@ STATUS_CUTOFF = "cutoff"
 class SolverConfig:
     """Tuning knobs for `solve`.
 
-    `lifted_flow=None` means: add the per-frame label bounds exactly when the
-    instance carries frame data.  `node_limit` caps the LPs of each round's
-    master call, re-solves of nodes that new rows cut off included;
-    exhausting it ends the run with `round_limit`.
+    `node_limit` caps the LPs of each round's master call, re-solves of
+    nodes that new rows cut off included; exhausting it ends the run with
+    `round_limit`.
     `time_limit` (seconds) is checked before each round and before each
     LP the master solves; exceeding it ends the run with
     `time_limit`, keeping the last completed round's solution.
@@ -93,7 +90,6 @@ class SolverConfig:
     max_rounds: int = 200
     time_limit: float | None = None
     include_symmetric: bool = True
-    lifted_flow: bool | None = None
     node_limit: int | None = None
 
     def __post_init__(self):
@@ -155,61 +151,24 @@ def _master_costs(instance: Instance) -> list[float]:
 
 
 def build_initial_constraints(
-    instance: Instance,
-    config: SolverConfig | None = None,
-    variables: list[VariableHandle] | None = None,
+    instance: Instance, variables: list[VariableHandle] | None = None
 ) -> _RowStore:
     """The always-valid starting pool, as a row store over `variables`
-    (`master_variables(instance)[0]` when not given): flow conservation,
-    the two single-node cuts per lifted edge, the per-frame label bounds
-    (when frames are available and not disabled) and the path inequalities
-    of one- and two-edge witness paths.
+    (`master_variables(instance)[0]` when not given).
 
-    The rows are written straight from the edge lists and reachability, in
-    the row and term order of the per-row builders in `constraints`.  A
-    lifted edge's cut-in row is left out when its base edges are those of
-    its cut-out row; that is the only way two of these rows can be equal.
-    Two builders write exactly the same rows, entry for entry:
-    `_array_rows`, with NumPy array operations, once 2n + lifted edges
-    reaches `_ARRAY_ROWS_FROM`, and the per-row loop `_loop_rows`, whose
-    fixed cost is lower, below that.
+    Every instance starts from flow conservation.  Below `_FLOW_ONLY_FROM`,
+    the pool also holds the two single-node cuts per lifted edge, the
+    per-frame label bounds (when the instance has frames) and the path
+    inequalities of one- and two-edge witness paths; larger instances get
+    those rows from separation only.  The rows are written straight from the
+    edge lists and reachability, in the row and term order of the per-row
+    builders in `constraints`.  A lifted edge's cut-in row is left out when
+    its base edges are those of its cut-out row; that is the only way two of
+    these rows can be equal.
     """
-    config = config or SolverConfig()
     if variables is None:
         variables = _master_handles(instance)
-    build = _array_rows if _uses_arrays(instance) else _loop_rows
-    return build(instance, config, variables)
-
-
-#: Size, as 2n + lifted edges, from which `_array_rows` writes the initial
-#: rows.  The measure is a lower bound on the row count (two flow rows per
-#: node, a cut-out row per lifted edge), known before any row is built.
-#: On random instances the two builders break even at sizes of 80-120;
-#: below 40 the loop is 3-8x faster, since the arrays cost about 0.5 ms
-#: whatever the size.
-_ARRAY_ROWS_FROM = 100
-
-
-def _uses_arrays(instance: Instance) -> bool:
-    return 2 * instance.n + len(instance.lifted_edges) >= _ARRAY_ROWS_FROM
-
-
-def _wants_frames(instance: Instance, config: SolverConfig) -> bool:
-    """Whether the per-frame label bounds are written; they need frames."""
-    want = instance.frames is not None if config.lifted_flow is None else config.lifted_flow
-    if want and not instance.frames:
-        raise ValueError("lifted-flow inequalities need frame annotations")
-    return want
-
-
-def _loop_rows(
-    instance: Instance, config: SolverConfig, variables: list[VariableHandle]
-) -> _RowStore:
-    """The initial rows, written one row at a time."""
-    want_frames = _wants_frames(instance, config)
     n = instance.n
-    lift0 = n + len(instance.base_edges)  # column of lift[0]
-    out_edges, in_edges = instance.out_edges, instance.in_edges
     count: list[int] = []
     col: list[int] = []
     val: list[float] = []
@@ -224,10 +183,37 @@ def _loop_rows(
         tag.append(row_tag)
 
     for v in instance.inner_nodes():
-        for edges in (in_edges[v], out_edges[v]):
+        for edges in (instance.in_edges[v], instance.out_edges[v]):
             # inflow (outflow) - x_v == 0
             add([n + e for e, _ in edges] + [v - 1], [1.0] * len(edges) + [-1.0], _SENSE_EQ, _FLOW)
+    if not _flow_rows_only(instance):
+        _add_inequalities(instance, add)
+    return _RowStore(variables, count, col, val, sense, [0.0] * len(count), tag, _TAGS)
 
+
+#: Size, as 2n + lifted edges, from which the initial pool holds the flow
+#: rows only.  Below it the stored inequality rows save rounds: with flow
+#: rows alone, the first 600 `sat-decide` formulas and 1,000 `batch-small`
+#: instances of seed 1 took 3,594 rounds instead of 2,252.  Above it they
+#: cost more to build than they save: on a `track-600` sequence only 247 of
+#: about 125,000 stored inequality rows ever entered an LP.  A `sat-decide`
+#: formula has size at most 41 (seeds 1-3 and 11), a `batch-small` instance
+#: at most 55 (20 nodes, 15 lifted edges), and every `track-600` solve of
+#: seeds 11-13 at least 137, so the benchmark has workloads on both sides.
+#: Below the line there are at most (99 - 2n)(n - 1) <= 1,176 two-hop rows,
+#: so they need no cap.
+_FLOW_ONLY_FROM = 100
+
+
+def _flow_rows_only(instance: Instance) -> bool:
+    return 2 * instance.n + len(instance.lifted_edges) >= _FLOW_ONLY_FROM
+
+
+def _add_inequalities(instance: Instance, add) -> None:
+    """The initial inequality rows, one row at a time through `add`."""
+    n = instance.n
+    lift0 = n + len(instance.base_edges)  # column of lift[0]
+    out_edges, in_edges = instance.out_edges, instance.in_edges
     reach = instance.reachability.row
     for li, (v, w, _) in enumerate(instance.lifted_edges):
         cut_out = [n + e for e, u in out_edges[v] if reach(u) >> w & 1]
@@ -237,7 +223,7 @@ def _loop_rows(
         if len(cut_in) != len(cut_out) or set(cut_in) != set(cut_out):
             add([lift0 + li] + cut_in, [1.0] + [-1.0] * len(cut_in), _SENSE_LE, _CUT_IN)
 
-    if want_frames:
+    if instance.frames is not None:
         frames = instance.frames
         for v in instance.inner_nodes():
             for lifted in (instance.lifted_out.get(v, ()), instance.lifted_in.get(v, ())):
@@ -268,7 +254,7 @@ def _loop_rows(
             mid_w = base_index.get((mid, w))
             if mid != SINK and mid_w is not None:
                 two_hop.append((li, vw, v_mid, mid, mid_w))
-    for li, vw, v_mid, mid, mid_w in two_hop[:_TWO_HOP_ROW_BUDGET]:
+    for li, vw, v_mid, mid, mid_w in two_hop:
         # y'_vw - (flow from v onto the path) + (flow leaving it at mid) >= 0.
         # Edge lists run in edge-index order, and mid's only out-edge back
         # onto the path is (mid, w): v -> mid -> v would be a cycle.
@@ -281,199 +267,6 @@ def _loop_rows(
             _PATH,
         )
 
-    return _RowStore(variables, count, col, val, sense, [0.0] * len(count), tag, _TAGS)
-
-
-def _array_rows(
-    instance: Instance, config: SolverConfig, variables: list[VariableHandle]
-) -> _RowStore:
-    """The rows of `_loop_rows`, written with array operations.
-
-    Nodes are slots: the source and inner nodes keep their ids and the sink
-    is n + 1, which is also its reachability bit.  Every entry is written
-    with the id of its row, one piece of entries at a time; a stable sort by
-    row id then puts each row's pieces in the order they were written.
-    Every row has an entry, so a row id left without one (a cut-in row that
-    repeats its cut-out row) is simply dropped.
-    """
-    want_frames = _wants_frames(instance, config)
-    n, n_lifted = instance.n, len(instance.lifted_edges)
-    lift0 = n + len(instance.base_edges)  # column of lift[0]
-    sink = n + 1
-    ends = np.array([(u, v) for u, v, _ in instance.base_edges], dtype=np.int64).reshape(-1, 2)
-    tail, head = ends[:, 0], np.where(ends[:, 1] == SINK, sink, ends[:, 1])
-    out_ptr, out_edge = _csr(tail, n + 2)
-    in_ptr, in_edge = _csr(head, n + 2)
-    pairs = np.array([(v, w) for v, w, _ in instance.lifted_edges], dtype=np.int64)
-    lv, lw = pairs.reshape(-1, 2).T
-    li = np.arange(n_lifted)
-
-    ids: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[float] = []  # one value per piece
-    senses: list[np.ndarray] = []
-    tags: list[np.ndarray] = []
-
-    def rows(k: int, row_sense: int, row_tag) -> np.ndarray:
-        """Ids for k new rows."""
-        first = sum(map(len, senses))
-        senses.append(np.full(k, row_sense))
-        tags.append(np.broadcast_to(row_tag, (k,)))
-        return np.arange(first, first + k)
-
-    def put(row_ids: np.ndarray, col_ids: np.ndarray, value: float) -> None:
-        ids.append(row_ids)
-        cols.append(col_ids)
-        vals.append(value)
-
-    # inflow (outflow) - x_v == 0, as rows 2(v-1) (and 2(v-1) + 1)
-    flow = rows(2 * n, _SENSE_EQ, _FLOW)
-    ins = in_edge[in_ptr[1] : in_ptr[n + 1]]
-    put(flow[2 * (head[ins] - 1)], n + ins, 1.0)
-    outs = out_edge[out_ptr[1] : out_ptr[n + 1]]
-    put(flow[2 * (tail[outs] - 1) + 1], n + outs, 1.0)
-    put(flow, np.repeat(np.arange(n), 2), -1.0)
-
-    # Cut-out row 2 li and cut-in row 2 li + 1 of lifted edge li = (v, w):
-    # v's out-edges (v, u) with w reachable from u, and w's in-edges (u, w)
-    # with u reachable from v (never the source, which nothing reaches).
-    owner, pos = _gather(out_ptr, lv)
-    v_out, u_out = out_edge[pos], head[out_edge[pos]]
-    reaches = _reach_test(instance, np.concatenate([u_out, lv]))
-    cut = rows(2 * n_lifted, _SENSE_LE, np.tile([_CUT_OUT, _CUT_IN], n_lifted))
-    hit = reaches(u_out, lw[owner])
-    out_li, out_e = owner[hit], v_out[hit]
-    owner_in, pos_in = _gather(in_ptr, lw)
-    e_in = in_edge[pos_in]
-    hit = reaches(lv[owner_in], tail[e_in])
-    in_li, in_e = owner_in[hit], e_in[hit]
-    # The two rows share at most the edge (v, w), so they are equal only
-    # when both are empty or both hold just that edge.
-    n_out = np.bincount(out_li, minlength=n_lifted)
-    only_out, only_in = np.full(n_lifted, -1), np.full(n_lifted, -1)
-    only_out[out_li], only_in[in_li] = out_e, in_e
-    cut_in = (n_out != np.bincount(in_li, minlength=n_lifted)) | (n_out > 1) | (only_out != only_in)
-    put(cut[2 * li], lift0 + li, 1.0)
-    put(cut[2 * li[cut_in] + 1], lift0 + li[cut_in], 1.0)
-    put(cut[2 * out_li], n + out_e, -1.0)
-    kept = cut_in[in_li]
-    put(cut[2 * in_li[kept] + 1], n + in_e[kept], -1.0)
-
-    if want_frames:
-        # One row per (node, side, frame of the other end): the node's
-        # labels to (side 0) or from (side 1) that frame, minus x_node.
-        frame = np.zeros(n + 1, dtype=np.int64)
-        frame[list(instance.frames)] = list(instance.frames.values())
-        node = np.concatenate([lv, lw])
-        side = np.repeat([0, 1], n_lifted)
-        other = frame[np.concatenate([lw, lv])]
-        lis = np.concatenate([li, li])
-        order = np.lexsort((lis, other, side, node))
-        node, side, other, lis = node[order], side[order], other[order], lis[order]
-        new = np.ones(len(node), dtype=bool)
-        new[1:] = (node[1:] != node[:-1]) | (side[1:] != side[:-1]) | (other[1:] != other[:-1])
-        bounds = rows(int(new.sum()), _SENSE_LE, _LIFTED_FLOW)
-        put(bounds[np.cumsum(new) - 1], lift0 + lis, 1.0)
-        put(bounds, node[new] - 1, -1.0)
-
-    # Path rows: y'_vw - y_vw >= 0 for every base edge (v, w), then the
-    # two-hop rows of `_loop_rows`, the first `_TWO_HOP_ROW_BUDGET` only.
-    edge = _edge_finder(tail, head, n + 2)
-    vw = edge(lv, lw)
-    direct = vw >= 0
-    one_hop = rows(int(direct.sum()), _SENSE_GE, _PATH)
-    put(one_hop, lift0 + li[direct], 1.0)
-    put(one_hop, n + vw[direct], -1.0)
-    # Two-hop paths v -> mid -> w; no edge leaves the sink, so none turns there.
-    mid_w = edge(u_out, lw[owner])
-    hop = np.flatnonzero(mid_w >= 0)[:_TWO_HOP_ROW_BUDGET]
-    hop_li, v_mid, mid, mid_w = owner[hop], v_out[hop], u_out[hop], mid_w[hop]
-    hop_vw = vw[hop_li]
-    two_hop = rows(len(hop), _SENSE_GE, _PATH)
-    put(two_hop, lift0 + hop_li, 1.0)
-    both = hop_vw >= 0
-    put(two_hop, n + np.where(both, np.minimum(v_mid, hop_vw), v_mid), -1.0)
-    put(two_hop[both], n + np.maximum(v_mid, hop_vw)[both], -1.0)
-    owner, pos = _gather(out_ptr, mid)
-    leaving = out_edge[pos]
-    kept = leaving != mid_w[owner]
-    put(two_hop[owner[kept]], n + leaving[kept], 1.0)
-
-    row_of = np.concatenate(ids)
-    order = np.argsort(row_of, kind="stable")
-    count = np.bincount(row_of, minlength=sum(map(len, senses)))
-    written = count > 0
-    return _RowStore(
-        variables,
-        count[written],
-        np.concatenate(cols)[order],
-        np.repeat(vals, [len(piece) for piece in ids])[order],
-        np.concatenate(senses)[written],
-        np.zeros(np.count_nonzero(written)),
-        np.concatenate(tags)[written],
-        _TAGS,
-    )
-
-
-def _csr(ends: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edges grouped by end slot: slot s has edges `edge[ptr[s]:ptr[s + 1]]`,
-    in edge-index order."""
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=size), out=ptr[1:])
-    return ptr, np.argsort(ends, kind="stable")
-
-
-def _gather(ptr: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions `ptr[k]:ptr[k + 1]` of every k in `keys`, concatenated,
-    and for each position the index into `keys` it came from."""
-    lengths = ptr[keys + 1] - ptr[keys]
-    owner = np.repeat(np.arange(len(keys)), lengths)
-    skip = np.repeat(ptr[keys] - (np.cumsum(lengths) - lengths), lengths)
-    return owner, np.arange(len(owner)) + skip
-
-
-def _reach_test(instance: Instance, slots: np.ndarray):
-    """A test of `b in reach(a)` for slot arrays a and b, a among `slots`.
-
-    Each needed reachability row is one row of packed bytes; bit b of a row
-    is byte b >> 3, bit b & 7 (little-endian)."""
-    sink = instance.n + 1
-    needed = np.zeros(sink + 1, dtype=bool)
-    needed[slots] = True
-    at = np.cumsum(needed) - 1  # slot -> its row in `packed`
-    width = (instance.n + 2 + 7) // 8
-    row = instance.reachability.row
-    packed = np.frombuffer(
-        b"".join(
-            row(SINK if s == sink else s).to_bytes(width, "little")
-            for s in np.flatnonzero(needed).tolist()
-        ),
-        dtype=np.uint8,
-    ).reshape(-1, width)
-
-    def reaches(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (packed[at[a], b >> 3] >> (b & 7) & 1).astype(bool)
-
-    return reaches
-
-
-def _edge_finder(tail: np.ndarray, head: np.ndarray, size: int):
-    """A lookup of base edges (a, b) by slot arrays: the edge's index, or -1."""
-    keys = tail * size + head
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-
-    def edge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        wanted = a * size + b
-        # Without base edges there are no lifted edges, so nothing is wanted.
-        at = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
-        return np.where(sorted_keys[at] == wanted, by_key[at], -1)
-
-    return edge
-
-
-#: Cap on preseeded two-hop rows; past it, separation finds them on demand.
-_TWO_HOP_ROW_BUDGET = 2000
 
 #: Tag codes of the initial rows, indices into `_TAGS`.
 _TAGS = (TAG_FLOW, TAG_CUT_OUT, TAG_CUT_IN, TAG_LIFTED_FLOW, TAG_PATH)
@@ -526,7 +319,7 @@ def solve(
     deadline = None if config.time_limit is None else started + config.time_limit
 
     variables, objective = master_variables(instance)
-    pool = build_initial_constraints(instance, config, variables)
+    pool = build_initial_constraints(instance, variables)
     # The initial rows are distinct, and the master satisfies every pool row,
     # so a separated row can only repeat another separated row: only those
     # are keyed, unless extra rows must be checked against the pool.

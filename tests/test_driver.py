@@ -19,6 +19,7 @@ from generators import (
     TWO_ROUND_OBJECTIVE,
     demo_instance,
     framed_instance,
+    half_integer,
     one_cut_instance,
     planted_sequence,
     random_instance,
@@ -29,6 +30,8 @@ from liftedpaths import driver, milp, tracking
 from liftedpaths.constraints import (
     TAG_CUT_IN,
     TAG_CUT_OUT,
+    TAG_FLOW,
+    TAG_LIFTED_FLOW,
     TAG_LIFTED_PATH,
     TAG_PATH,
     SolutionValues,
@@ -48,9 +51,16 @@ from liftedpaths.driver import (
     master_variables,
     solve,
 )
-from liftedpaths.instance import SINK, SOURCE, FlowSolution, Instance, active_st_paths
+from liftedpaths.instance import (
+    SINK,
+    SOURCE,
+    FlowSolution,
+    Instance,
+    Reachability,
+    active_st_paths,
+)
 from liftedpaths.milp import check_violation
-from liftedpaths.oracle import brute_force_optimum
+from liftedpaths.oracle import all_st_paths, brute_force_optimum
 from liftedpaths.reductions import reduce_sat
 
 SEEDS = st.integers(0, 10_000)
@@ -228,8 +238,13 @@ def test_solver_is_exact_without_symmetric_rows(seed):
 
 def test_framed_instances_solve_with_lifted_flow_rows():
     inst = framed_instance()
-    plain = solve(inst)
-    framed = solve(inst, SolverConfig(lifted_flow=True))
+    twin = Instance(
+        inst.n, inst.base_edges, inst.lifted_edges,
+        {v: c for v, c in enumerate(inst.node_costs) if v},
+    )
+    tags = [{row.tag for row in build_initial_constraints(i)} for i in (inst, twin)]
+    assert TAG_LIFTED_FLOW in tags[0] and TAG_LIFTED_FLOW not in tags[1]
+    framed, plain = solve(inst), solve(twin)
     assert framed.status == plain.status == "optimal"
     assert framed.objective == pytest.approx(plain.objective, abs=1e-9)
     assert framed.objective == pytest.approx(
@@ -290,27 +305,12 @@ def test_a_solve_builds_the_master_variables_once(monkeypatch):
 
 def layered_instance() -> Instance:
     """Three complete layers: every first-to-last lifted pair has 21 two-hop
-    paths, 2,100 in all."""
+    paths.  Its size, 2n + lifted edges, is 182."""
     first, middle, last = range(1, 11), range(11, 32), range(32, 42)
     base = [(SOURCE, v, 0.0) for v in first] + [(v, SINK, 0.0) for v in last]
     base += [(u, v, 0.0) for u in first for v in middle]
     base += [(u, v, 0.0) for u in middle for v in last]
     return Instance(41, base, [(v, w, -1.0) for v in first for w in last])
-
-
-def test_two_hop_seeding_keeps_the_first_rows_past_the_budget():
-    first, middle, last = range(1, 11), range(11, 32), range(32, 42)
-    inst = layered_instance()
-    candidates = [
-        (li, (v, mid, w))
-        for li, (v, w, _) in enumerate(inst.lifted_edges)
-        for mid in middle
-    ]
-    assert len(candidates) == 2100 > driver._TWO_HOP_ROW_BUDGET == 2000
-    seeded = [row for row in build_initial_constraints(inst) if row.tag == TAG_PATH]
-    assert seeded == [
-        build_path_inequality(inst, li, nodes) for li, nodes in candidates[:2000]
-    ]
 
 
 def with_frames(inst: Instance) -> Instance:
@@ -325,17 +325,21 @@ def with_frames(inst: Instance) -> Instance:
     )
 
 
-def reference_initial_rows(inst: Instance, config: SolverConfig):
+def flow_rows(inst: Instance) -> list:
+    return [row for v in inst.inner_nodes() for row in build_flow_conservation(inst, v)]
+
+
+def reference_initial_rows(inst: Instance):
     """The initial pool from the per-row builders after `key()` dedup, and
     each dropped row paired with the row it repeats."""
     reach = inst.reachability
-    rows = []
-    for v in inst.inner_nodes():
-        rows.extend(build_flow_conservation(inst, v))
+    rows = flow_rows(inst)
+    if driver._flow_rows_only(inst):
+        return rows, []
     for li in range(len(inst.lifted_edges)):
         rows.append(build_single_node_cut(inst, reach, li, "out_of_v"))
         rows.append(build_single_node_cut(inst, reach, li, "into_w"))
-    if inst.frames is not None if config.lifted_flow is None else config.lifted_flow:
+    if inst.frames is not None:
         rows.extend(build_lifted_flow_inequalities(inst))
     two_hop = []
     for li, (v, w, _) in enumerate(inst.lifted_edges):
@@ -344,7 +348,7 @@ def reference_initial_rows(inst: Instance, config: SolverConfig):
         for _, mid in inst.out_edges[v]:
             if mid != SINK and (mid, w) in inst.base_index:
                 two_hop.append((li, (v, mid, w)))
-    for li, nodes in two_hop[: driver._TWO_HOP_ROW_BUDGET]:
+    for li, nodes in two_hop:
         rows.append(build_path_inequality(inst, li, nodes))
     first, kept, dropped = {}, [], []
     for row in rows:
@@ -356,21 +360,13 @@ def reference_initial_rows(inst: Instance, config: SolverConfig):
     return kept, dropped
 
 
-#: Both initial-row builders; `build_initial_constraints` picks one by size.
-BUILDERS = (driver._loop_rows, driver._array_rows)
-
-
-def assert_store_matches_the_reference(inst: Instance, config: SolverConfig, build) -> int:
+def assert_store_matches_the_reference(inst: Instance) -> int:
     """Row for row and term for term, the arrays included, for the store
-    that `build` writes; returns the number of rows dedup dropped."""
+    that `build_initial_constraints` writes; returns the number of rows
+    dedup dropped."""
     variables = master_variables(inst)[0]
-    try:
-        kept, dropped = reference_initial_rows(inst, config)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
-            build(inst, config, variables)
-        return 0
-    store = build(inst, config, variables)
+    kept, dropped = reference_initial_rows(inst)
+    store = build_initial_constraints(inst, variables)
     assert len(store) == len(kept)
     assert list(store) == kept
     assert [store[i] for i in range(-len(kept), 0)] == kept
@@ -386,21 +382,13 @@ def assert_store_matches_the_reference(inst: Instance, config: SolverConfig, bui
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS, st.booleans(), st.sampled_from([None, True, False]))
-def test_the_array_builder_matches_the_per_row_builders(seed, framed, lifted_flow):
+@given(SEEDS, st.booleans())
+def test_the_array_builder_matches_the_per_row_builders(seed, framed):
     rng = random.Random(seed)
     inst = random_instance(rng, max_inner=10, max_base=24, max_lift=8)
     if framed:
         inst = with_frames(inst)
-    for build in BUILDERS:
-        assert_store_matches_the_reference(inst, SolverConfig(lifted_flow=lifted_flow), build)
-
-
-def test_the_array_builder_matches_past_the_two_hop_budget():
-    inst = layered_instance()
-    for build in BUILDERS:
-        assert_store_matches_the_reference(inst, SolverConfig(), build)
-        assert_store_matches_the_reference(with_frames(inst), SolverConfig(), build)
+    assert_store_matches_the_reference(inst)
 
 
 def test_both_builders_order_and_keep_rows_beside_a_direct_edge():
@@ -411,22 +399,12 @@ def test_both_builders_order_and_keep_rows_beside_a_direct_edge():
     around = [(SOURCE, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, SINK, 0.0)]
     for base in ([(1, 3, 0.0)] + around, around + [(1, 3, 0.0)]):
         inst = Instance(3, base, [(1, 3, -1.0)])
-        for build in BUILDERS:
-            assert_store_matches_the_reference(inst, SolverConfig(), build)
-            assert sum(row.tag == TAG_CUT_IN for row in build(
-                inst, SolverConfig(), master_variables(inst)[0])) == 1
+        assert_store_matches_the_reference(inst)
+        assert sum(row.tag == TAG_CUT_IN for row in build_initial_constraints(inst)) == 1
 
 
 def test_both_builders_write_no_rows_for_the_empty_instance():
-    for build in BUILDERS:
-        assert_store_matches_the_reference(Instance(0, []), SolverConfig(), build)
-
-
-def test_both_builders_need_frames_for_the_lifted_flow_rows():
-    inst = layered_instance()
-    for build in BUILDERS:
-        with pytest.raises(ValueError, match="need frame annotations"):
-            build(inst, SolverConfig(lifted_flow=True), master_variables(inst)[0])
+    assert_store_matches_the_reference(Instance(0, []))
 
 
 def interval_instance() -> Instance:
@@ -442,21 +420,61 @@ def interval_instance() -> Instance:
 def test_both_builders_match_on_a_stage_one_interval():
     inst = interval_instance()
     assert inst.frames is not None
-    for build in BUILDERS:
-        for lifted_flow in (None, False):
-            assert_store_matches_the_reference(inst, SolverConfig(lifted_flow=lifted_flow), build)
+    assert_store_matches_the_reference(inst)
 
 
-def test_intervals_are_built_with_arrays_and_reductions_by_the_loop():
-    assert driver._uses_arrays(interval_instance())
-    assert not driver._uses_arrays(reduce_sat(SATISFIABLE_FORMULA).instance)
+def test_large_instances_start_from_the_flow_rows_alone():
+    large = [interval_instance(), layered_instance(), with_frames(layered_instance())]
+    for inst in large:
+        assert driver._flow_rows_only(inst)
+        assert list(build_initial_constraints(inst)) == flow_rows(inst)
+        assert_store_matches_the_reference(inst)
+    small = reduce_sat(SATISFIABLE_FORMULA).instance
+    assert not driver._flow_rows_only(small)
+    store = build_initial_constraints(small)
+    assert {row.tag for row in store} == {TAG_FLOW, TAG_CUT_OUT, TAG_CUT_IN, TAG_PATH}
+    assert list(store)[: 2 * small.n] == flow_rows(small)
+    assert_store_matches_the_reference(small)
+
+
+def chain_instance(rng: random.Random) -> Instance:
+    """4-6 chains of 6-7 nodes, one to three forward links between chains,
+    and lifted edges on at least two thirds of the reachable pairs: past
+    `_FLOW_ONLY_FROM`, with at most 13 source-sink paths."""
+    k, length = rng.randint(4, 6), rng.randint(6, 7)
+
+    def node(chain: int, at: int) -> int:
+        return 1 + at * k + chain
+
+    ends = [(SOURCE, node(c, 0)) for c in range(k)]
+    ends += [(node(c, i), node(c, i + 1)) for c in range(k) for i in range(length - 1)]
+    ends += [(node(c, length - 1), SINK) for c in range(k)]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(range(k), 2)
+        at = rng.randrange(length - 1)
+        ends.append((node(a, at), node(b, rng.randint(at + 1, length - 1))))
+    base = [(u, v, half_integer(rng)) for u, v in dict.fromkeys(ends)]
+    n = k * length
+    reach = Reachability(n, base)
+    nodes = range(1, n + 1)
+    pairs = [(v, w) for v in nodes for w in nodes if v != w and reach.reaches(v, w)]
+    lifted = rng.sample(pairs, max(100 - 2 * n, len(pairs) * 2 // 3))
+    return Instance(n, base, [(v, w, half_integer(rng)) for v, w in lifted])
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS)
+def test_instances_past_the_line_solve_exactly_from_the_flow_rows(seed):
+    inst = chain_instance(random.Random(seed))
+    assert driver._flow_rows_only(inst)
+    assert len(all_st_paths(inst)) <= 13
+    res = solve(inst)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(brute_force_optimum(inst).objective, abs=1e-9)
+    assert certify(inst, res.solution) == []
 
 
 def test_the_array_builder_drops_cut_in_rows_that_repeat_their_cut_out_row():
     rng = random.Random(5)
     instances = [random_instance(rng) for _ in range(40)]
-    for build in BUILDERS:
-        dropped = sum(
-            assert_store_matches_the_reference(inst, SolverConfig(), build) for inst in instances
-        )
-        assert dropped > 0
+    assert sum(assert_store_matches_the_reference(inst) for inst in instances) > 0
