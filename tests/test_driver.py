@@ -423,14 +423,27 @@ def test_both_builders_match_on_a_stage_one_interval():
     assert_store_matches_the_reference(inst)
 
 
+def test_the_array_builder_matches_past_the_two_hop_budget():
+    """`layered_instance()` has 21 two-hop paths per lifted edge; with and
+    without frames, the store matches the per-row reference."""
+    inst = layered_instance()
+    assert_store_matches_the_reference(inst)
+    assert_store_matches_the_reference(with_frames(inst))
+
+
+def test_intervals_are_built_with_arrays_and_reductions_by_the_loop():
+    """The size predicate puts stage 1's intervals past the line and the
+    SAT reduction below it."""
+    assert driver._flow_rows_only(interval_instance())
+    assert not driver._flow_rows_only(reduce_sat(SATISFIABLE_FORMULA).instance)
+
+
 def test_large_instances_start_from_the_flow_rows_alone():
     large = [interval_instance(), layered_instance(), with_frames(layered_instance())]
     for inst in large:
         assert driver._flow_rows_only(inst)
         assert list(build_initial_constraints(inst)) == flow_rows(inst)
-        assert_store_matches_the_reference(inst)
     small = reduce_sat(SATISFIABLE_FORMULA).instance
-    assert not driver._flow_rows_only(small)
     store = build_initial_constraints(small)
     assert {row.tag for row in store} == {TAG_FLOW, TAG_CUT_OUT, TAG_CUT_IN, TAG_PATH}
     assert list(store)[: 2 * small.n] == flow_rows(small)
