@@ -13,8 +13,8 @@ optimum is an optimum of the full problem: the separators are complete, so
 an unviolated integral point carries exactly the labels its flow realizes.
 
 The pool is one row store (`milp._RowStore`).  `build_initial_constraints`
-writes the starting rows into it as arrays, straight from the instance, and
-each round appends only the separated rows that are new; only those are
+appends the starting rows to it from the family builders in `constraints`,
+and each round appends only the separated rows that are new; only those are
 keyed for deduplication.  The master reads the store as it is.  From
 `_FLOW_ONLY_FROM` (2n + lifted edges) on, the store starts from the flow
 rows alone: since the separators are complete, the other starting rows only
@@ -33,24 +33,20 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .constraints import (
-    TAG_CUT_IN,
-    TAG_CUT_OUT,
-    TAG_FLOW,
-    TAG_LIFTED_FLOW,
-    TAG_PATH,
     base_var,
+    build_flow_conservation,
+    build_lifted_flow_inequalities,
+    build_path_inequality,
+    build_single_node_cut,
     lift_var,
     node_var,
 )
-from .instance import SINK, SOURCE, FlowSolution, Instance
+from .instance import SINK, FlowSolution, Instance
 from .milp import (
-    _SENSE_EQ,
-    _SENSE_GE,
-    _SENSE_LE,
     LinearConstraint,
     MilpError,
     VariableHandle,
@@ -79,6 +75,11 @@ STATUS_CUTOFF = "cutoff"
 class SolverConfig:
     """Tuning knobs for `solve`.
 
+    `max_rounds` caps the master-separate rounds; reaching it before a
+    round certifies ends the run with `round_limit` (0 solves no master).
+    `include_symmetric` makes separation emit, beside each cut along the
+    lifted tail's path, the mirrored cut along the lifted head's path;
+    turned off, the solve stays exact.
     `node_limit` caps the LPs of each round's master call, re-solves of
     nodes that new rows cut off included; exhausting it ends the run with
     `round_limit`.
@@ -154,41 +155,21 @@ def build_initial_constraints(
     instance: Instance, variables: list[VariableHandle] | None = None
 ) -> _RowStore:
     """The always-valid starting pool, as a row store over `variables`
-    (`master_variables(instance)[0]` when not given).
+    (`master_variables(instance)[0]` when not given, or those handles in any
+    order).
 
     Every instance starts from flow conservation.  Below `_FLOW_ONLY_FROM`,
     the pool also holds the two single-node cuts per lifted edge, the
     per-frame label bounds (when the instance has frames) and the path
     inequalities of one- and two-edge witness paths; larger instances get
-    those rows from separation only.  The rows are written straight from the
-    edge lists and reachability, in the row and term order of the per-row
-    builders in `constraints`.  A lifted edge's cut-in row is left out when
-    its base edges are those of its cut-out row; that is the only way two of
-    these rows can be equal.
+    those rows from separation only.  The rows come from the family builders
+    in `constraints`.  A lifted edge's cut-in row is left out when its terms
+    are those of its cut-out row; that is the only way two of these rows can
+    be equal.
     """
-    if variables is None:
-        variables = _master_handles(instance)
-    n = instance.n
-    count: list[int] = []
-    col: list[int] = []
-    val: list[float] = []
-    sense: list[int] = []
-    tag: list[int] = []
-
-    def add(cols: list[int], vals: list[float], row_sense: int, row_tag: int) -> None:
-        count.append(len(cols))
-        col.extend(cols)
-        val.extend(vals)
-        sense.append(row_sense)
-        tag.append(row_tag)
-
-    for v in instance.inner_nodes():
-        for edges in (instance.in_edges[v], instance.out_edges[v]):
-            # inflow (outflow) - x_v == 0
-            add([n + e for e, _ in edges] + [v - 1], [1.0] * len(edges) + [-1.0], _SENSE_EQ, _FLOW)
-    if not _flow_rows_only(instance):
-        _add_inequalities(instance, add)
-    return _RowStore(variables, count, col, val, sense, [0.0] * len(count), tag, _TAGS)
+    store = _RowStore(_master_handles(instance) if variables is None else variables)
+    store.extend(_initial_rows(instance))
+    return store
 
 
 #: Size, as 2n + lifted edges, from which the initial pool holds the flow
@@ -209,68 +190,29 @@ def _flow_rows_only(instance: Instance) -> bool:
     return 2 * instance.n + len(instance.lifted_edges) >= _FLOW_ONLY_FROM
 
 
-def _add_inequalities(instance: Instance, add) -> None:
-    """The initial inequality rows, one row at a time through `add`."""
-    n = instance.n
-    lift0 = n + len(instance.base_edges)  # column of lift[0]
-    out_edges, in_edges = instance.out_edges, instance.in_edges
-    reach = instance.reachability.row
-    for li, (v, w, _) in enumerate(instance.lifted_edges):
-        cut_out = [n + e for e, u in out_edges[v] if reach(u) >> w & 1]
-        add([lift0 + li] + cut_out, [1.0] + [-1.0] * len(cut_out), _SENSE_LE, _CUT_OUT)
-        from_v = reach(v)
-        cut_in = [n + e for e, u in in_edges[w] if u != SOURCE and from_v >> u & 1]
-        if len(cut_in) != len(cut_out) or set(cut_in) != set(cut_out):
-            add([lift0 + li] + cut_in, [1.0] + [-1.0] * len(cut_in), _SENSE_LE, _CUT_IN)
-
+def _initial_rows(instance: Instance) -> Iterator[LinearConstraint]:
+    for v in instance.inner_nodes():
+        yield from build_flow_conservation(instance, v)
+    if _flow_rows_only(instance):
+        return
+    reach = instance.reachability
+    for li in range(len(instance.lifted_edges)):
+        cut_out = build_single_node_cut(instance, reach, li, "out_of_v")
+        yield cut_out
+        cut_in = build_single_node_cut(instance, reach, li, "into_w")
+        if cut_in.terms != cut_out.terms:
+            yield cut_in
     if instance.frames is not None:
-        frames = instance.frames
-        for v in instance.inner_nodes():
-            for lifted in (instance.lifted_out.get(v, ()), instance.lifted_in.get(v, ())):
-                by_frame: dict[int, list[int]] = {}
-                for li, u in lifted:
-                    by_frame.setdefault(frames[u], []).append(li)
-                for f in sorted(by_frame):
-                    # v's labels to (from) the nodes of frame f - x_v <= 0
-                    lis = sorted(by_frame[f])
-                    add(
-                        [lift0 + li for li in lis] + [v - 1],
-                        [1.0] * len(lis) + [-1.0],
-                        _SENSE_LE,
-                        _LIFTED_FLOW,
-                    )
-
-    # Path inequalities for one- and two-edge witness paths: the shortest
-    # members of the general family and the ones the LP relaxation violates
-    # first on labels that undershoot realized connectivity; seeding them
-    # saves several cutting rounds per solve.
-    base_index = instance.base_index
-    two_hop: list[tuple[int, int | None, int, int, int]] = []
+        yield from build_lifted_flow_inequalities(instance)
+    # Path inequalities of one-edge, then two-edge witness paths: the
+    # shortest of the family and the first the LP relaxation violates.
     for li, (v, w, _) in enumerate(instance.lifted_edges):
-        vw = base_index.get((v, w))
-        if vw is not None:
-            add([lift0 + li, n + vw], [1.0, -1.0], _SENSE_GE, _PATH)
-        for v_mid, mid in out_edges[v]:
-            mid_w = base_index.get((mid, w))
-            if mid != SINK and mid_w is not None:
-                two_hop.append((li, vw, v_mid, mid, mid_w))
-    for li, vw, v_mid, mid, mid_w in two_hop:
-        # y'_vw - (flow from v onto the path) + (flow leaving it at mid) >= 0.
-        # Edge lists run in edge-index order, and mid's only out-edge back
-        # onto the path is (mid, w): v -> mid -> v would be a cycle.
-        onto = [n + v_mid] if vw is None else sorted((n + v_mid, n + vw))
-        leaving = [n + e for e, _ in out_edges[mid] if e != mid_w]
-        add(
-            [lift0 + li] + onto + leaving,
-            [1.0] + [-1.0] * len(onto) + [1.0] * len(leaving),
-            _SENSE_GE,
-            _PATH,
-        )
-
-
-#: Tag codes of the initial rows, indices into `_TAGS`.
-_TAGS = (TAG_FLOW, TAG_CUT_OUT, TAG_CUT_IN, TAG_LIFTED_FLOW, TAG_PATH)
-_FLOW, _CUT_OUT, _CUT_IN, _LIFTED_FLOW, _PATH = range(len(_TAGS))
+        if (v, w) in instance.base_index:
+            yield build_path_inequality(instance, li, (v, w))
+    for li, (v, w, _) in enumerate(instance.lifted_edges):
+        for _, mid in instance.out_edges[v]:
+            if mid != SINK and (mid, w) in instance.base_index:
+                yield build_path_inequality(instance, li, (v, mid, w))
 
 
 def certify(

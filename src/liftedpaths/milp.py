@@ -192,13 +192,11 @@ class _RowStore(Sequence):
     view of each row, built when it is read.
     """
 
-    def __init__(
-        self, variables, count=(), col=(), val=(), sense=(), rhs=(), tag=(), tags=()
-    ):
+    def __init__(self, variables):
         self.variables = variables
-        self.tags = list(tags)
+        self.tags: list[str] = []
         self._col_of: dict[VariableHandle, int] | None = None
-        self._set(count, col, val, sense, rhs, tag)
+        self._set((), (), (), (), (), ())
 
     def _set(self, count, col, val, sense, rhs, tag) -> None:
         self.count = np.asarray(count, dtype=np.int64)
@@ -212,7 +210,8 @@ class _RowStore(Sequence):
         self.nonempty = self.count > 0
 
     def extend(self, constraints: Iterable[LinearConstraint]) -> None:
-        """Append `constraints` as rows, one entry per term in term order."""
+        """Append `constraints` as rows, one entry per term in term order; an
+        unknown handle or a non-finite number raises `MilpError` and appends nothing."""
         if self._col_of is None:
             self._col_of = {h: i for i, h in enumerate(self.variables)}
             if len(self._col_of) != len(self.variables):
@@ -235,11 +234,16 @@ class _RowStore(Sequence):
                 rhs.append(con.rhs)
                 tag.append(codes.setdefault(con.tag, len(codes)))
         except KeyError as exc:
-            raise MilpError(f"constraint references unknown handle {exc.args[0].label()}") from None
+            handle = exc.args[0]
+            name = handle.label() if isinstance(handle, VariableHandle) else repr(handle)
+            raise MilpError(f"constraint references unknown handle {name}") from None
+        new_val, new_rhs = np.array(vals, dtype=float), np.array(rhs, dtype=float)
+        if not (np.isfinite(new_val).all() and np.isfinite(new_rhs).all()):
+            raise MilpError("constraint has a non-finite coefficient or right-hand side")
         self.tags = list(codes)
         old = (self.count, self.col, self.val, self.sense, self.rhs, self.tag)
-        new = (count, cols, vals, sense, rhs, tag)
-        self._set(*(np.concatenate([a, np.array(b, dtype=a.dtype)]) for a, b in zip(old, new)))
+        new = (count, cols, new_val, sense, new_rhs, tag)
+        self._set(*(np.concatenate([a, np.asarray(b, dtype=a.dtype)]) for a, b in zip(old, new)))
 
     def __len__(self) -> int:
         return len(self.rhs)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import types
 
 import pytest
@@ -59,7 +60,7 @@ from liftedpaths.instance import (
     Reachability,
     active_st_paths,
 )
-from liftedpaths.milp import check_violation
+from liftedpaths.milp import MilpError, check_violation
 from liftedpaths.oracle import all_st_paths, brute_force_optimum
 from liftedpaths.reductions import reduce_sat
 
@@ -379,6 +380,24 @@ def assert_store_matches_the_reference(inst: Instance) -> int:
         assert (row.tag, repeated.tag) == (TAG_CUT_IN, TAG_CUT_OUT)
         assert row.terms[0] == repeated.terms[0]
     return len(dropped)
+
+
+def test_the_initial_rows_do_not_depend_on_the_handle_order():
+    for inst in (demo_instance(), framed_instance()):
+        variables = master_variables(inst)[0]
+        rows = list(build_initial_constraints(inst))
+        shuffled = variables[::-1]
+        assert list(build_initial_constraints(inst, shuffled)) == rows
+        random.Random(3).shuffle(shuffled)
+        assert list(build_initial_constraints(inst, shuffled)) == rows
+
+
+def test_the_initial_rows_need_every_master_handle():
+    inst = demo_instance()
+    variables = master_variables(inst)[0]
+    for i, missing in enumerate(variables):
+        with pytest.raises(MilpError, match=rf"unknown handle {re.escape(missing.label())}"):
+            build_initial_constraints(inst, variables[:i] + variables[i + 1 :])
 
 
 @settings(max_examples=60, deadline=None)

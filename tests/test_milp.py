@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -219,6 +220,33 @@ def test_per_variable_inputs_must_match_the_variables(solve, objective, options)
     rows = [LinearConstraint(tuple((h, 1.0) for h in vs), "<=", 1.5, "t")]
     with pytest.raises(milp.MilpError, match="length does not match variables"):
         solve(vs, objective, rows, **options)
+
+
+@pytest.mark.parametrize("solve", [solve_lp, solve_binary])
+@pytest.mark.parametrize("where", ["rhs", "coefficient"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_row_data_is_rejected(solve, where, bad):
+    a, b = handles(2)
+    coef, rhs = (bad, 1.0) if where == "coefficient" else (1.0, bad)
+    rows = [LinearConstraint(((a, coef), (b, 1.0)), ">=", rhs, "t")]
+    with pytest.raises(milp.MilpError, match="non-finite"):
+        solve([a, b], [1.0, 1.0], rows)
+
+
+@pytest.mark.parametrize(
+    "handle, name",
+    [
+        pytest.param(VariableHandle("x", 9), "x[9]", id="handle"),
+        pytest.param(("node", 9), "('node', 9)", id="tuple"),
+        pytest.param("x", "'x'", id="str"),
+    ],
+)
+def test_unknown_handles_are_named(handle, name):
+    vs = handles(2)
+    rows = [LinearConstraint(((vs[0], 1.0), (handle, 1.0)), "<=", 1.0, "t")]
+    for solve in (solve_lp, solve_binary):
+        with pytest.raises(milp.MilpError, match=f"unknown handle {re.escape(name)}$"):
+            solve(vs, [1.0, 1.0], rows)
 
 
 def parity_program(rng):
