@@ -225,11 +225,18 @@ def certify(
     return rep_path.constraints + rep_cut.constraints
 
 
+#: The two label objects every solution shares, so a held one costs a
+#: pointer per label.
+_LABELS = (0.0, 1.0)
+
+
 def _solution_from_values(instance: Instance, values) -> FlowSolution:
+    """The master's 0/1 `values` as a solution of `instance`."""
     n, m = instance.n, len(instance.base_edges)
-    x = tuple([0.0] + [float(values[i]) for i in range(n)])
-    y = tuple(float(values[n + i]) for i in range(m))
-    yl = tuple(float(values[n + m + i]) for i in range(len(instance.lifted_edges)))
+    labels = [_LABELS[v] for v in values.tolist()]
+    x = (_LABELS[0], *labels[:n])
+    y = tuple(labels[n : n + m])
+    yl = tuple(labels[n + m : n + m + len(instance.lifted_edges)])
     objective = math.fsum(
         (
             math.fsum(c * xi for c, xi in zip(instance.node_costs[1:], x[1:])),

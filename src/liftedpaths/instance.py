@@ -318,13 +318,15 @@ class Reachability:
 class FlowSolution:
     """A binary assignment: node labels x, base-edge labels y, lifted labels.
 
-    ``x[v]`` is indexed by node id (entry 0 is unused padding); ``y`` and
-    ``y_lifted`` follow the instance's edge list order.
+    Each label is 0 or 1: `solve` gives the floats 0.0 and 1.0, and
+    `solution_from_paths` the ints.  ``x[v]`` is indexed by node id (entry 0
+    is unused padding); ``y`` and ``y_lifted`` follow the instance's edge
+    list order.
     """
 
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    y_lifted: tuple[int, ...]
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    y_lifted: tuple[float, ...]
     objective: float
 
     def active_nodes(self) -> tuple[int, ...]:

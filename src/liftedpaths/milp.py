@@ -4,12 +4,14 @@ The LP core is a revised simplex over box-bounded variables (structural
 variables live in [0, 1] unless a caller tightens them; slacks in [0, inf)).
 A fresh LP is solved by the two-phase primal method from a crash point with
 every structural at its lower bound, except a column that no starting row
-touches, which starts at its cheaper bound.  A crash point that already
-satisfies every row (each artificial is 0) skips phase 1, with the
-artificials frozen at 0.  Pricing is Dantzig's rule, switching to Bland's
-rule after 3*(m+n) degenerate pivots so cycling cannot occur.  Infeasibility
-is reported with the index of a constraint whose phase-1 artificial stays
-basic and positive.
+touches, which starts at its cheaper bound.  The crash basis is diagonal: a
+row takes its slack where the slack is feasible, else a structural column
+with no entry in another row whose value closing the row stays in its box
+(a singleton; every tracking flow row has one), else an artificial.  A crash
+whose artificials are all 0 skips phase 1, with the artificials frozen at 0.
+Pricing is Dantzig's rule, switching to Bland's rule after 3*(m+n)
+degenerate pivots so cycling cannot occur.  Infeasibility is reported with
+the index of a constraint whose phase-1 artificial stays basic and positive.
 
 A solved LP stays live: after a bound change or appended rows its basis is
 still dual feasible, and a bounded dual simplex (leaving row: the largest
@@ -41,9 +43,12 @@ presolve is dropping empty rows, after checking that they are satisfiable.
 The LP matrix is one entry array sorted by column: the store entries of the
 LP's rows, one +-1 entry per slack and per artificial, and the entries of
 rows appended later.  It takes three arrays of one word per non-zero, beside
-the m x m basis inverse.  Pricing and column pulls cost O(non-zeros), and a
-pivot updates only the rows of the inverse where the entering column is
-non-zero.
+the m x m basis inverse.  Per pivot, pricing costs O(non-zeros); the
+entering column B^-1 a_j reads only the inverse's columns at a_j's rows; the
+duals (primal) or reduced costs (dual) are updated by one multiple of the
+pivot row; and the ratio test, the step and the inverse update touch only
+the rows where B^-1 a_j is non-zero.  The inverse is rebuilt densely every
+256 basis changes, and a node that restores the live basis keeps it.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import heapq
 import math
 import operator
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -224,6 +229,7 @@ class _RowStore(Sequence):
         sense: list[int] = []
         rhs: list[float] = []
         tag: list[int] = []
+        h = None
         try:
             for con in constraints:
                 for h, c in con.terms:
@@ -233,9 +239,10 @@ class _RowStore(Sequence):
                 sense.append(_SENSES[con.sense])
                 rhs.append(con.rhs)
                 tag.append(codes.setdefault(con.tag, len(codes)))
-        except KeyError as exc:
-            handle = exc.args[0]
-            name = handle.label() if isinstance(handle, VariableHandle) else repr(handle)
+        except (KeyError, TypeError) as exc:
+            if isinstance(exc, TypeError) and isinstance(h, Hashable):
+                raise  # not a lookup of the handle `h`
+            name = h.label() if isinstance(h, VariableHandle) else repr(h)
             raise MilpError(f"constraint references unknown handle {name}") from None
         new_val, new_rhs = np.array(vals, dtype=float), np.array(rhs, dtype=float)
         if not (np.isfinite(new_val).all() and np.isfinite(new_rhs).all()):
@@ -307,13 +314,16 @@ class _Simplex:
     rest of the non-empty rows are `pending`, and a caller may add store
     rows appended later to them.  `solve` runs the two-phase primal method
     from the crash point (structurals at their lower bounds, or at their
-    cheaper bounds where no active row touches them), or phase 2 alone when
-    the crash is feasible.  After it, `restore` (a stored basis under new
+    cheaper bounds where no active row touches them) and the crash basis
+    (slacks, singleton columns, artificials), or phase 2 alone when the
+    crash is feasible.  After it, `restore` (a stored basis under new
     structural bounds) and `add_rows` keep the basis dual feasible, and
-    `reoptimise` recovers an optimum by dual pivots.  Past
-    `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
-    active; `solve` and `reoptimise` both append the pending rows the vertex
-    violates and reoptimise until none is.
+    `reoptimise` recovers an optimum by dual pivots.  `_phase` carries the
+    duals pi and `_dual` the reduced costs d from pivot to pivot, and both
+    recompute them after each refactor; `_phase` also recomputes pi before
+    it reports an optimum.  Past `_LAZY_ROW_THRESHOLD` non-empty rows only
+    the equality rows start active; `solve` and `reoptimise` both append the
+    pending rows the vertex violates and reoptimise until none is.
     The LP matrix is the entries (`a_row`, `a_col`, `a_val`) in LP row and
     column numbering, sorted by column, with column j's entries at
     `a_ptr[j]:a_ptr[j + 1]`.  A repeated entry adds up.  `add_rows` merges
@@ -347,24 +357,35 @@ class _Simplex:
         # a column no active row touches sits on its cheaper bound.  Such a
         # column moves no basic variable and changes no dual, so starting it
         # there saves a pricing pass per bound flip and changes no basis.
+        struct = np.flatnonzero(cidx < self.nstruct)
         untouched = np.ones(self.nstruct, dtype=bool)
-        untouched[cidx[cidx < self.nstruct]] = False
-        x0 = np.where(np.isfinite(lo), lo, 0.0)
-        x0 = np.where(untouched & (c < 0) & np.isfinite(up), up, x0)
+        untouched[cidx[struct]] = False
+        x0 = np.where(untouched & (c < 0) & np.isfinite(up), up, lo)
         resid = (rows.rhs - rows.lhs(x0))[self.active]
 
-        # Crash basis: a slack where it is feasible, else an artificial
-        # column signed so that it starts non-negative.
+        # Crash basis (Bixby, ORSA J. Computing 1992): a slack where it is
+        # feasible; else a structural column with no other entry in an
+        # active row, if closing the row's residual keeps it in its box;
+        # else an artificial column signed so that it starts non-negative.
+        # Each such column touches its row alone, so B stays diagonal.
         slack_ok = ((senses == _SENSE_LE) & (resid >= 0)) | (
             (senses == _SENSE_GE) & (resid <= 0)
         )
-        art = np.flatnonzero(~slack_ok)
+        once = np.bincount(cidx[struct], minlength=self.nstruct) == 1
+        k = struct[once[cidx[struct]] & ~slack_ok[ridx[struct]] & (data[struct] != 0)]
+        value = x0[cidx[k]] + resid[ridx[k]] / data[k]
+        fits = (lo[cidx[k]] <= value) & (value <= up[cidx[k]])
+        sing, first = np.unique(ridx[k[fits]], return_index=True)
+        k, value = k[fits][first], value[fits][first]
+        art = np.setdiff1d(np.flatnonzero(~slack_ok), sing)
         n_art = len(art)
         art_sign = np.where(resid[art] >= 0, 1.0, -1.0)
         basis = np.empty(m, dtype=np.int64)
         basis[ineq] = np.arange(self.nstruct, nslack_end)
-        basis[art] = nslack_end + np.arange(n_art)  # every equality row is here
+        basis[sing] = cidx[k]
+        basis[art] = nslack_end + np.arange(n_art)
         binv_diag = np.where(senses == _SENSE_GE, -1.0, 1.0)
+        binv_diag[sing] = 1.0 / data[k]
         binv_diag[art] = art_sign
         self.art_start = nslack_end
         ncols = nslack_end + n_art
@@ -384,9 +405,11 @@ class _Simplex:
         self.x = np.concatenate([x0, np.zeros(ncols - self.nstruct)])
         self.Binv = np.diag(binv_diag)
         self.xB = binv_diag * resid
+        self.xB[sing] = value
         self.c_struct = c
         self.iterations = 0  # passes of the current solve, for its limit
         self.pivots = 0  # basis changes and bound flips over the LP's life
+        self.updates = 0  # basis changes since Binv was last inverted
         self.degenerate = 0
         self.bland = False
         self.bland_threshold = 3 * (m + self.nstruct)
@@ -414,16 +437,14 @@ class _Simplex:
         out = np.bincount(flat, self.a_val[idx], minlength=self.m * len(cols))
         return out.reshape(self.m, len(cols))
 
-    def _column(self, j: int) -> np.ndarray:
+    def _ftran(self, j: int) -> np.ndarray:
+        """Binv a_j, from the columns of Binv at the rows of a_j's entries."""
         s, e = self.a_ptr[j], self.a_ptr[j + 1]
-        return np.bincount(self.a_row[s:e], self.a_val[s:e], minlength=self.m)
+        return self.Binv[:, self.a_row[s:e]] @ self.a_val[s:e]
 
     def _products(self, y: np.ndarray) -> np.ndarray:
-        """y @ A, for one row vector or a stack of them."""
-        w = y[..., self.a_row] * self.a_val
-        if w.ndim == 1:
-            return np.bincount(self.a_col, w, minlength=self.ncols)
-        return np.array([np.bincount(self.a_col, wi, minlength=self.ncols) for wi in w])
+        """y @ A for a row vector y."""
+        return np.bincount(self.a_col, y[self.a_row] * self.a_val, minlength=self.ncols)
 
     def _costs(self) -> np.ndarray:
         c = np.zeros(self.ncols)
@@ -435,61 +456,68 @@ class _Simplex:
             self.Binv = np.linalg.solve(self._columns(self.basis), np.eye(self.m))
         except np.linalg.LinAlgError as exc:
             raise MilpError(f"singular basis during refactorization: {exc}") from None
+        self.updates = 0
+        self._basic_values()
+
+    def _basic_values(self) -> None:
+        """xB = Binv (b - N x_N)."""
         xfull = self.x.copy()
         xfull[self.basis] = 0.0
         ax = np.bincount(self.a_row, self.a_val * xfull[self.a_col], minlength=self.m)
         self.xB = self.Binv @ (self.rows.rhs[self.active] - ax)
 
-    def _pivot(self, leave_row: int, col: np.ndarray) -> None:
+    def _pivot(self, leave_row: int, col: np.ndarray, nz: np.ndarray) -> None:
         """Product-form update of Binv for the column `col` = Binv a_j that
-        just entered at `leave_row`.  Only the rows where `col` is non-zero
-        change, so only those are touched."""
+        just entered at `leave_row`.  Only the rows `nz`, where `col` is
+        non-zero, change, so the update costs O(len(nz) * m)."""
         row_r = self.Binv[leave_row] / col[leave_row]
-        nz = np.flatnonzero(col)
         self.Binv[nz] -= col[nz, None] * row_r
         self.Binv[leave_row] = row_r
         self.pivots += 1
+        self.updates += 1
 
     def _phase(self, c: np.ndarray, phase1: bool) -> str:
+        if not self.ncols:
+            return "optimal"  # no column to price
         movable = (self.up - self.lo) > 0
         if phase1:
             movable[self.art_start :] = False  # artificials never re-enter
+        pi = None  # the duals c_B Binv: updated per pivot, recomputed when None
         while True:
             if self.iterations >= self.iteration_limit:
                 return "iteration_limit"
             self.iterations += 1
-            if self.iterations % _REFACTOR_EVERY == 0:
+            if self.updates >= _REFACTOR_EVERY:
                 self._refactor()
+                pi = None
+            fresh = pi is None
+            if fresh:
+                pi = c[self.basis] @ self.Binv
 
-            pi = c[self.basis] @ self.Binv
             d = c - self._products(pi)
             # -|d_j| where moving x_j off its bound lowers the objective.
             score = d * _DIRECTION[self.vstat] * movable
-            idx = np.flatnonzero(score < -_TOL_PRICE)
-            if idx.size == 0:
-                return "optimal"
-            j = int(idx[0] if self.bland else idx[np.argmin(score[idx])])
+            j = int(np.argmin(score))
+            if score[j] >= -_TOL_PRICE:
+                if fresh:
+                    return "optimal"
+                pi = None  # rule out drift before reporting an optimum
+                continue
+            if self.bland:
+                j = int(np.flatnonzero(score < -_TOL_PRICE)[0])
             s_dir = 1.0 if self.vstat[j] == _AT_LOWER else -1.0
-            col = self.Binv @ self._column(j)
-            delta = s_dir * col
+            col = self._ftran(j)
+            nz = np.flatnonzero(col)
+            delta = s_dir * col[nz]
+            basic = self.basis[nz]
 
             # Ratio test: how far can x_j move before a basic variable hits
             # a bound (or x_j flips to its own opposite bound)?
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bound = np.where(delta > 0, self.lo[self.basis], self.up[self.basis])
-                t_rows = (self.xB - bound) / delta
+            bound = np.where(delta > 0, self.lo[basic], self.up[basic])
+            t_rows = np.maximum((self.xB[nz] - bound) / delta, 0.0)
             t_rows[np.abs(delta) <= _TOL_PIVOT] = np.inf
-            t_rows = np.maximum(t_rows, 0.0)
-            t_flip = self.up[j] - self.lo[j]
-            t_min_rows = float(t_rows.min()) if self.m else np.inf
-
-            if t_min_rows <= t_flip:
-                ties = np.flatnonzero(t_rows <= t_min_rows + 1e-12)
-                leave_row = int(ties[np.argmin(self.basis[ties])])
-                t = t_min_rows
-            else:
-                leave_row = -1
-                t = t_flip
+            t_min_rows = float(t_rows.min(initial=np.inf))
+            t = min(t_min_rows, self.up[j] - self.lo[j])
             if not np.isfinite(t):
                 return "unbounded"
             if t <= 1e-12:
@@ -497,29 +525,31 @@ class _Simplex:
                 if self.degenerate > self.bland_threshold:
                     self.bland = True
 
-            self.xB -= t * delta
-            if leave_row < 0:
+            self.xB[nz] -= t * delta
+            if t < t_min_rows:  # x_j flips to its opposite bound
                 self.x[j] = self.up[j] if self.vstat[j] == _AT_LOWER else self.lo[j]
                 self.vstat[j] = _AT_UPPER if self.vstat[j] == _AT_LOWER else _AT_LOWER
                 self.pivots += 1
                 continue
-            old = self.basis[leave_row]
-            leaves_at_lower = delta[leave_row] > 0
+            ties = np.flatnonzero(t_rows <= t_min_rows + 1e-12)
+            k = int(ties[np.argmin(basic[ties])])
+            leave_row = int(nz[k])
+            old = basic[k]
+            leaves_at_lower = delta[k] > 0
             self.x[old] = self.lo[old] if leaves_at_lower else self.up[old]
             self.vstat[old] = _AT_LOWER if leaves_at_lower else _AT_UPPER
             entering_val = self.x[j] + s_dir * t
             self.basis[leave_row] = j
             self.vstat[j] = _BASIC
-            if abs(col[leave_row]) <= _TOL_PIVOT:  # defensive; ratio test filters these
-                self._refactor()
-                continue
-            self._pivot(leave_row, col)
+            pi += (d[j] / col[leave_row]) * self.Binv[leave_row]
+            self._pivot(leave_row, col, nz)
             self.xB[leave_row] = entering_val
 
     def _dual(self, c: np.ndarray) -> str:
         """Bounded dual simplex: from a dual-feasible basis, pivot out bound
         violations until the basis is primal feasible too."""
         movable = (self.up - self.lo) > 0
+        d = None  # the reduced costs: updated per pivot, recomputed when None
         while True:
             lo_b = self.lo[self.basis]
             up_b = self.up[self.basis]
@@ -531,18 +561,18 @@ class _Simplex:
             if self.iterations >= self.iteration_limit:
                 return "iteration_limit"
             self.iterations += 1
-            if self.iterations % _REFACTOR_EVERY == 0:
+            if self.updates >= _REFACTOR_EVERY:
                 self._refactor()
+                d = None
                 continue
+            if d is None:
+                d = c - self._products(c[self.basis] @ self.Binv)
             if self.bland:
                 r = int(rows[np.argmin(self.basis[rows])])
             else:
                 r = int(rows[np.argmax(infeas[rows])])
             to_lower = below[r] > 0
-            d, alpha = self._products(
-                np.vstack((c[self.basis] @ self.Binv, self.Binv[r, :]))
-            )
-            d = c - d
+            alpha = self._products(self.Binv[r])
             # Raising x_j moves x_B[r] by -alpha_j; `gain` > 0 means moving
             # x_j off its bound moves x_B[r] toward the bound it violates.
             direction = _DIRECTION[self.vstat] * movable
@@ -559,20 +589,23 @@ class _Simplex:
                 if self.degenerate > self.bland_threshold:
                     self.bland = True
 
-            col = self.Binv @ self._column(q)
+            col = self._ftran(q)
             if abs(col[r]) <= _TOL_PIVOT:  # alpha and col disagree: drifted
                 self._refactor()
+                d = None
                 continue
+            d -= (d[q] / alpha[q]) * alpha
             target = lo_b[r] if to_lower else up_b[r]
             step = (self.xB[r] - target) / col[r]  # change in x_q
             entering_val = self.x[q] + step
-            self.xB -= step * col
+            nz = np.flatnonzero(col)
+            self.xB[nz] -= step * col[nz]
             old = self.basis[r]
             self.x[old] = target
             self.vstat[old] = _AT_LOWER if to_lower else _AT_UPPER
             self.basis[r] = q
             self.vstat[q] = _BASIC
-            self._pivot(r, col)
+            self._pivot(r, col, nz)
             self.xB[r] = entering_val
 
     def solve(self) -> tuple[str, int | None]:
@@ -660,15 +693,21 @@ class _Simplex:
         self, state: tuple[np.ndarray, np.ndarray], lo: np.ndarray, up: np.ndarray
     ) -> None:
         """Load a `snapshot` under new structural bounds.  Rows appended
-        since the snapshot join with their slacks basic."""
+        since the snapshot join with their slacks basic.  When that is the
+        live basis, Binv is kept and only xB is recomputed."""
         basis, vstat = state
         n_old = len(vstat)
-        self.basis = np.concatenate([basis, np.arange(n_old, self.ncols)])
+        basis = np.concatenate([basis, np.arange(n_old, self.ncols)])
+        same = np.array_equal(basis, self.basis)
+        self.basis = basis
         self.vstat = np.concatenate([vstat, np.full(self.ncols - n_old, _BASIC)])
         self.lo[: self.nstruct] = lo
         self.up[: self.nstruct] = up
         self.x = np.where(self.vstat == _AT_UPPER, self.up, self.lo)
-        self._refactor()
+        if same:
+            self._basic_values()
+        else:
+            self._refactor()
 
     def structural_values(self) -> np.ndarray:
         xfull = self.x.copy()
@@ -699,10 +738,13 @@ def _row_store(
     return rows
 
 
-def _per_variable(values: Sequence[float], n: int, name: str) -> np.ndarray:
+def _per_variable(values: Sequence[float], n: int, name: str, *, inf_ok=False) -> np.ndarray:
+    """`values` as a vector of n numbers, finite unless `inf_ok`; NaN never is."""
     vector = np.asarray(list(values), dtype=float)
     if vector.shape != (n,):
         raise MilpError(f"{name} length does not match variables")
+    if (np.isnan(vector) if inf_ok else ~np.isfinite(vector)).any():
+        raise MilpError(f"{name} has a non-finite entry")
     return vector
 
 
@@ -721,15 +763,15 @@ def solve_lp(
     The returned vertex satisfies every given constraint to within 1e-9
     (large sets are handled by activating inequality rows on violation, which
     does not change the optimum or vertex status of the result).  The
-    objective and the given bounds must have one entry per variable, or
-    `MilpError` is raised.
+    objective and the given bounds must have one entry per variable, and be
+    finite except that an upper bound may be inf, or `MilpError` is raised.
     `iteration_limit` caps the passes of each solve: the first, and each
     reoptimisation after rows are activated.
     """
     n = len(variables)
     c = _per_variable(objective, n, "objective")
     lo = np.zeros(n) if lower is None else _per_variable(lower, n, "lower")
-    up = np.ones(n) if upper is None else _per_variable(upper, n, "upper")
+    up = np.ones(n) if upper is None else _per_variable(upper, n, "upper", inf_ok=True)
     if np.any(lo > up + 1e-12):
         return LpResult("infeasible", None, None)
     rows = _row_store(variables, constraints)
@@ -871,8 +913,8 @@ def solve_binary(
     `cutoff` prunes every node whose LP bound exceeds it by more than 1e-9;
     when no solution is found and some node was pruned this way, the status
     is "cutoff" and `bound` is the least bound pruned, a proof that no
-    solution is at or below the cutoff.  The objective must have one entry
-    per variable, or `MilpError` is raised.
+    solution is at or below the cutoff.  The objective must have one finite
+    entry per variable, or `MilpError` is raised.
     """
     n = len(variables)
     c = _per_variable(objective, n, "objective")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from liftedpaths import tracking
 from liftedpaths.instance import SINK, SOURCE, Instance, Reachability, parse_instance
 from liftedpaths.reductions import McfProblem, ReductionError
 from liftedpaths.tracking import CostTable
@@ -318,6 +319,16 @@ def planted_sequence(
             base[(u, v)] = c
             lift[(u, v)] = c
     return CostTable(base=base, lift=lift, labels=labels)
+
+
+def interval_instance() -> Instance:
+    """Stage 1's instance for the first interval of a small planted sequence."""
+    table = planted_sequence(random.Random(4), frames=30, noise=0.2, clutter=4)
+    inside = {(u, v): c for (u, v), c in table.base.items() if v[0] < 10}
+    lifted = {(u, v): c for (u, v), c in table.lift.items() if v[0] < 10}
+    detections = [d for d in table.detections if d[0] < 10]
+    config = tracking.TrackingConfig(interval_length=10)
+    return tracking._build_detection_instance(detections, inside, lifted, config)[0]
 
 
 def interior_punisher_table() -> tuple[CostTable, list[tuple[int, int]]]:

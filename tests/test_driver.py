@@ -21,13 +21,13 @@ from generators import (
     demo_instance,
     framed_instance,
     half_integer,
+    interval_instance,
     one_cut_instance,
-    planted_sequence,
     random_instance,
     tightening_instance,
     two_round_instance,
 )
-from liftedpaths import driver, milp, tracking
+from liftedpaths import driver, milp
 from liftedpaths.constraints import (
     TAG_CUT_IN,
     TAG_CUT_OUT,
@@ -210,6 +210,18 @@ def test_round_stats_report_master_nodes_and_pivots():
     assert max(s.master_nodes for s in res.trace) > 1
     legacy = RoundStats(1, -1.0, {}, 0)
     assert (legacy.master_nodes, legacy.master_pivots) == (0, 0)
+
+
+def test_solved_labels_are_two_shared_floats():
+    """Every label of a solved `FlowSolution` is one of two float objects,
+    so a held solution costs a pointer per label."""
+    zero, one = driver._LABELS
+    assert (type(zero), zero, type(one), one) == (float, 0.0, float, 1.0)
+    for inst in (demo_instance(), framed_instance(), tightening_instance()):
+        sol = solve(inst).solution
+        labels = sol.x + sol.y + sol.y_lifted
+        assert all(v is zero or v is one for v in labels)
+        assert any(v is one for v in labels)
 
 
 def test_the_returned_cut_pool_certifies_in_one_round():
@@ -424,16 +436,6 @@ def test_both_builders_order_and_keep_rows_beside_a_direct_edge():
 
 def test_both_builders_write_no_rows_for_the_empty_instance():
     assert_store_matches_the_reference(Instance(0, []))
-
-
-def interval_instance() -> Instance:
-    """Stage 1's instance for the first interval of a small planted sequence."""
-    table = planted_sequence(random.Random(4), frames=30, noise=0.2, clutter=4)
-    inside = {(u, v): c for (u, v), c in table.base.items() if v[0] < 10}
-    lifted = {(u, v): c for (u, v), c in table.lift.items() if v[0] < 10}
-    detections = [d for d in table.detections if d[0] < 10]
-    config = tracking.TrackingConfig(interval_length=10)
-    return tracking._build_detection_instance(detections, inside, lifted, config)[0]
 
 
 def test_both_builders_match_on_a_stage_one_interval():

@@ -6,14 +6,15 @@ import math
 import random
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from generators import framed_instance
+from generators import framed_instance, interval_instance
 from liftedpaths import milp
 from liftedpaths.driver import build_initial_constraints, master_variables
 from liftedpaths.milp import (
@@ -101,14 +102,19 @@ def random_rows(rng, variables, count):
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS)
-def test_lp_agrees_with_scipy_on_box_problems(seed):
+@given(SEEDS, st.booleans())
+def test_lp_agrees_with_scipy_on_box_problems(seed, boxed):
+    """On [0, 1]^n, or on random finite boxes that the crash must respect."""
     rng = random.Random(seed)
     vs = handles(rng.randint(1, 6))
     objective = [float(rng.randint(-3, 3)) for _ in vs]
     rows = random_rows(rng, vs, rng.randint(0, 6))
-    mine = solve_lp(vs, objective, rows)
-    ref = oracles.lp_reference(vs, objective, rows)
+    lower, upper = [0.0] * len(vs), [1.0] * len(vs)
+    if boxed:
+        lower = [rng.randint(-2, 1) / 2.0 for _ in vs]
+        upper = [lo + rng.randint(0, 3) / 2.0 for lo in lower]
+    mine = solve_lp(vs, objective, rows, lower=lower, upper=upper)
+    ref = oracles.lp_reference(vs, objective, rows, lower, upper)
     if ref.status == 2:
         assert mine.status == "infeasible"
         blocking = rows[mine.infeasible_constraint]
@@ -120,8 +126,8 @@ def test_lp_agrees_with_scipy_on_box_problems(seed):
         values = dict(zip(vs, mine.values))
         for row in rows:
             assert check_violation(row, values) == 0.0
-        for x in mine.values:
-            assert -1e-9 <= x <= 1 + 1e-9
+        for x, lo, up in zip(mine.values, lower, upper):
+            assert lo - 1e-9 <= x <= up + 1e-9
 
 
 def test_lp_reports_a_blocking_row_when_infeasible():
@@ -234,11 +240,33 @@ def test_non_finite_row_data_is_rejected(solve, where, bad):
 
 
 @pytest.mark.parametrize(
+    "solve, objective, bounds",
+    [
+        pytest.param(solve_lp, [math.nan, 1.0], {}, id="lp-objective-nan"),
+        pytest.param(solve_lp, [math.inf, 1.0], {}, id="lp-objective-inf"),
+        pytest.param(solve_lp, [1.0, 1.0], {"lower": [-math.inf, 0.0]}, id="lp-lower-minus-inf"),
+        pytest.param(solve_lp, [1.0, 1.0], {"lower": [math.nan, 0.0]}, id="lp-lower-nan"),
+        pytest.param(solve_lp, [1.0, 1.0], {"upper": [math.nan, 1.0]}, id="lp-upper-nan"),
+        pytest.param(solve_binary, [math.inf, 1.0], {}, id="binary-objective-inf"),
+        pytest.param(solve_binary, [-math.inf, 1.0], {}, id="binary-objective-minus-inf"),
+        pytest.param(solve_binary, [math.nan, 1.0], {}, id="binary-objective-nan"),
+    ],
+)
+def test_non_finite_objectives_and_bounds_are_rejected(solve, objective, bounds):
+    """Only an upper bound may be infinite (`test_lp_detects_unbounded_rays`)."""
+    vs = handles(2)
+    rows = [LinearConstraint(tuple((h, 1.0) for h in vs), "<=", 1.5, "t")]
+    with pytest.raises(milp.MilpError, match="non-finite entry"):
+        solve(vs, objective, rows, **bounds)
+
+
+@pytest.mark.parametrize(
     "handle, name",
     [
         pytest.param(VariableHandle("x", 9), "x[9]", id="handle"),
         pytest.param(("node", 9), "('node', 9)", id="tuple"),
         pytest.param("x", "'x'", id="str"),
+        pytest.param([1], "[1]", id="unhashable"),
     ],
 )
 def test_unknown_handles_are_named(handle, name):
@@ -265,6 +293,96 @@ def parity_program(rng):
         sense = rng.choice(("<=", "<=", ">=", "="))
         rows.append(LinearConstraint(tuple((h, 2.0) for h in picked), sense, rhs, "t"))
     return vs, objective, rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_restore_keeps_the_inverse_of_the_live_basis_alone(seed):
+    """Restoring the live basis keeps Binv and recomputes xB only; restoring
+    another basis inverts it afresh.  Either way Binv and xB match a full
+    refactor to 1e-9."""
+    vs, objective, rows = parity_program(random.Random(seed))
+    n = len(vs)
+    lp = milp._Simplex(np.asarray(objective), milp._row_store(vs, rows), np.zeros(n), np.ones(n))
+    assume(lp.solve()[0] == "optimal")
+    root, vals = lp.snapshot(), lp.structural_values()
+    j = int(np.argmax(np.abs(vals - np.round(vals))))
+    for fixed in (0.0, 1.0):  # the second child's basis is the first's optimum
+        lo, up = np.zeros(n), np.ones(n)
+        lo[j] = up[j] = fixed
+        live, binv = lp.basis.copy(), lp.Binv
+        lp.restore(root, lo, up)
+        assert (lp.Binv is binv) == np.array_equal(root[0], live)
+        kept_binv, kept_xb = lp.Binv.copy(), lp.xB.copy()
+        lp._refactor()
+        np.testing.assert_allclose(kept_binv, lp.Binv, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(kept_xb, lp.xB, rtol=0, atol=1e-9)
+        lp.reoptimise()
+
+
+def exact_reduced_costs(lp, c):
+    """c - c_B B^-1 A, from a fresh inverse of the basis."""
+    return c - lp._products(c[lp.basis] @ np.linalg.inv(lp._columns(lp.basis)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_carried_duals_and_reduced_costs_price_like_exact_ones(seed):
+    """`_phase` prices with duals it updates pivot by pivot, and `_dual` with
+    reduced costs it updates the same way.  Against exact ones: every
+    column the primal method enters improves the objective, and every dual
+    pivot leaves the basis dual feasible."""
+    costs = []  # the costs of the `_phase` or `_dual` call running, if any
+    phase, dual = milp._Simplex._phase, milp._Simplex._dual
+    ftran, pivot = milp._Simplex._ftran, milp._Simplex._pivot
+
+    def running(method, check_pivots):
+        def run(lp, c, **kwargs):
+            costs.append((c, check_pivots))
+            try:
+                return method(lp, c, **kwargs)
+            finally:
+                costs.pop()
+
+        return run
+
+    def checked_ftran(lp, j):
+        if costs and not costs[-1][1]:
+            d = exact_reduced_costs(lp, costs[-1][0])
+            assert d[j] * milp._DIRECTION[lp.vstat[j]] < 0.0
+        return ftran(lp, j)
+
+    def checked_pivot(lp, *args):
+        pivot(lp, *args)
+        if costs and costs[-1][1]:
+            movable = (lp.up - lp.lo) > 0
+            d = exact_reduced_costs(lp, costs[-1][0])
+            assert (d * milp._DIRECTION[lp.vstat] * movable).min(initial=0.0) >= -1e-6
+
+    rng = random.Random(seed)
+    vs, objective, rows = parity_program(rng)
+    # A larger LP over inequality rows, so that it is mostly feasible, whose
+    # restores fix many variables at once: long dual passes.
+    box = handles(rng.randint(12, 20))
+    box_objective = np.array([float(rng.randint(-3, 3)) for _ in box])
+    box_rows = [row for row in random_rows(rng, box, rng.randint(10, 16)) if row.sense != "="]
+    n = len(box)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp._Simplex, "_phase", running(phase, False))
+        patch.setattr(milp._Simplex, "_dual", running(dual, True))
+        patch.setattr(milp._Simplex, "_ftran", checked_ftran)
+        patch.setattr(milp._Simplex, "_pivot", checked_pivot)
+        mine = solve_binary(vs, objective, rows)
+        lp = milp._Simplex(box_objective, milp._row_store(box, box_rows), np.zeros(n), np.ones(n))
+        if lp.solve()[0] == "optimal":
+            root = lp.snapshot()
+            for _ in range(8):
+                lo, up = np.zeros(n), np.ones(n)
+                for j in rng.sample(range(n), rng.randint(2, n // 2)):
+                    lo[j] = up[j] = float(rng.randint(0, 1))
+                lp.restore(root, lo, up)
+                lp.reoptimise()
+    assert_matches_enumeration(vs, objective, rows, mine)
 
 
 def assert_matches_enumeration(vs, objective, rows, mine):
@@ -582,17 +700,30 @@ def reference_matrix(store, active, appended, nstruct):
     """The LP matrix over `active` store rows and then `appended` ones, one
     coefficient at a time from the store: structural entries (a repeated
     handle adds up), a +-1 slack per inequality row (the appended rows'
-    slacks last), and a signed artificial per row whose slack cannot hold
-    the crash x = 0 (every equality row among them)."""
+    slacks last), and a signed artificial per row that has neither a slack
+    that holds the crash x = 0 nor a singleton: a column with one store
+    entry among the active rows, a, where rhs / a lies in [0, 1]."""
     rows = list(active) + list(appended)
     ineq = [r for r, i in enumerate(active) if store.sense[i] != milp._SENSE_EQ]
     sense, rhs = store.sense, store.rhs
+    entries = [
+        (r, store.col[k], store.val[k])
+        for r, i in enumerate(active)
+        for k in range(store.start[i], store.start[i + 1])
+    ]
+    uses = Counter(j for _, j, _ in entries)
+    singleton = {
+        r for r, j, v in entries if uses[j] == 1 and v != 0 and 0 <= rhs[active[r]] / v <= 1
+    }
     art = [
         r
         for r, i in enumerate(active)
-        if sense[i] == milp._SENSE_EQ
-        or (sense[i] == milp._SENSE_LE and rhs[i] < 0)
-        or (sense[i] == milp._SENSE_GE and rhs[i] > 0)
+        if r not in singleton
+        and (
+            sense[i] == milp._SENSE_EQ
+            or (sense[i] == milp._SENSE_LE and rhs[i] < 0)
+            or (sense[i] == milp._SENSE_GE and rhs[i] > 0)
+        )
     ]
     ncols = nstruct + len(ineq) + len(art) + len(appended)
     a = np.zeros((len(rows), ncols))
@@ -613,13 +744,14 @@ def reference_matrix(store, active, appended, nstruct):
 def assert_kernels_match(simplex, a, rng):
     assert (simplex.m, simplex.ncols) == a.shape
     y = np.array([rng.uniform(-2, 2) for _ in range(simplex.m)])
-    stack = np.array([[rng.uniform(-2, 2) for _ in range(simplex.m)] for _ in range(2)])
     np.testing.assert_allclose(simplex._products(y), y @ a, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(simplex._products(stack), stack @ a, rtol=0, atol=1e-12)
     cols = np.array(rng.sample(range(simplex.ncols), rng.randint(0, simplex.ncols)), dtype=np.int64)
     np.testing.assert_array_equal(simplex._columns(cols), a[:, cols])
+    np.testing.assert_allclose(
+        simplex.Binv @ a[:, simplex.basis], np.eye(simplex.m), rtol=0, atol=1e-12
+    )
     for j in range(simplex.ncols):
-        np.testing.assert_array_equal(simplex._column(j), a[:, j])
+        np.testing.assert_allclose(simplex._ftran(j), simplex.Binv @ a[:, j], rtol=0, atol=1e-12)
 
 
 def random_terms(rng, vs):
@@ -687,6 +819,22 @@ def test_phase_one_runs_only_from_an_infeasible_crash(monkeypatch):
     inst = framed_instance()
     variables, costs = master_variables(inst)
     flow = list(build_initial_constraints(inst))
+    # Stage 1's master starts from its flow rows alone.  Each row has a
+    # column no other row touches (s->v in v's in-row, v->t in its out-row),
+    # so the crash needs no artificial.
+    interval = interval_instance()
+    interval_vars, interval_costs = master_variables(interval)
+    interval_rows = list(build_initial_constraints(interval))
+    assert {row.sense for row in interval_rows} == {"="}
+    n = len(interval_vars)
+    crash = milp._Simplex(
+        np.asarray(interval_costs),
+        milp._row_store(interval_vars, interval_rows),
+        np.zeros(n),
+        np.ones(n),
+    )
+    assert crash.m == len(interval_rows)
+    assert crash.ncols == crash.art_start  # no artificial column
     a, b, c = handles(3)
     infeasible_crash = [
         LinearConstraint(((a, 1.0), (b, 1.0)), ">=", 1.0, "t"),
@@ -695,6 +843,7 @@ def test_phase_one_runs_only_from_an_infeasible_crash(monkeypatch):
     ]
     cases = [
         (variables, costs, flow, 0),  # every flow row holds at x = 0
+        (interval_vars, interval_costs, interval_rows, 0),
         ([a, b, c], [1.0, -1.0, 2.0], infeasible_crash, 1),
     ]
     for vs, objective, rows, phase_ones in cases:
