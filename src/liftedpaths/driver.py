@@ -45,7 +45,7 @@ from .constraints import (
     lift_var,
     node_var,
 )
-from .instance import SINK, FlowSolution, Instance
+from .instance import _LABELS, SINK, FlowSolution, Instance
 from .milp import (
     LinearConstraint,
     MilpError,
@@ -223,11 +223,6 @@ def certify(
     rep_path = separate_lifted_path(instance, solution)
     rep_cut = separate_lifted_cut(instance, solution, include_symmetric)
     return rep_path.constraints + rep_cut.constraints
-
-
-#: The two label objects every solution shares, so a held one costs a
-#: pointer per label.
-_LABELS = (0.0, 1.0)
 
 
 def _solution_from_values(instance: Instance, values) -> FlowSolution:

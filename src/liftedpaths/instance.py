@@ -72,8 +72,8 @@ class Instance:
         forward in frame order.
 
     Construction validates everything, cheapest checks first: no more inner
-    nodes than base edges, finite costs, edge endpoints, acyclicity, then
-    the base-graph `reachability` (built once, here) decides that every
+    nodes than base edges, finite costs, edge endpoints, then the base-graph
+    `reachability` (built once, here) rejects a cycle and decides that every
     inner node lies on a source-sink route and that every lifted pair is
     joined by a base path.
     """
@@ -113,7 +113,6 @@ class Instance:
 
         self._check_finite()
         self._build_adjacency()
-        self._toposort()
         self.reachability = Reachability(n, self.base_edges)
         self._validate()
 
@@ -169,37 +168,12 @@ class Instance:
         self.lifted_out = {v: tuple(es) for v, es in lifted_out.items()}
         self.lifted_in = {v: tuple(es) for v, es in lifted_in.items()}
 
-    def _toposort(self) -> None:
-        """Order inner nodes topologically; a cycle is a validation error."""
-        n = self.n
-        indeg = [0] * (n + 1)
-        for u, v, _ in self.base_edges:
-            if u != SOURCE and v != SINK:
-                indeg[v] += 1
-        ready = [v for v in range(1, n + 1) if indeg[v] == 0]
-        order: list[int] = []
-        while ready:
-            v = ready.pop()
-            order.append(v)
-            for _, w in self.out_edges[v]:
-                if w == SINK:
-                    continue
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        if len(order) != n:
-            stuck = sorted(v for v in range(1, n + 1) if indeg[v] > 0)
-            raise InstanceValidationError(f"cycle detected among nodes {stuck}")
-        self.topo_order: tuple[int, ...] = tuple(order)
-        pos = [0] * (n + 1)
-        for i, v in enumerate(order):
-            pos[v] = i
-        self._topo_pos = tuple(pos)
-
     def _validate(self) -> None:
         n = self.n
         reach = self.reachability
-        # Every inner node must lie on some source-sink route.
+        # Every inner node must lie on some source-sink route.  The source's
+        # row searches every node it reaches and raises on a cycle among
+        # them; a node it misses is unreachable.
         from_source = reach.row(SOURCE)
         for v in range(1, n + 1):
             if not (from_source >> v) & 1:
@@ -234,9 +208,6 @@ class Instance:
 
     def lifted_cost(self, idx: int) -> float:
         return self.lifted_edges[idx][2]
-
-    def topo_position(self, v: int) -> int:
-        return self._topo_pos[v]
 
     def __repr__(self) -> str:  # debugging aid only
         return (
@@ -307,21 +278,23 @@ class Reachability:
             return False
         return bool((self.row(v) >> self._bit(w)) & 1)
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return self.reaches(*pair)
-
 
 # -- solutions -------------------------------------------------------------
+
+
+#: The two label objects every solution shares, so a held one costs a
+#: pointer per label.
+_LABELS = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class FlowSolution:
     """A binary assignment: node labels x, base-edge labels y, lifted labels.
 
-    Each label is 0 or 1: `solve` gives the floats 0.0 and 1.0, and
-    `solution_from_paths` the ints.  ``x[v]`` is indexed by node id (entry 0
-    is unused padding); ``y`` and ``y_lifted`` follow the instance's edge
-    list order.
+    Each label is one of the two floats of `_LABELS`, 0.0 or 1.0, in the
+    solutions that `solve` and `solution_from_paths` build alike.  ``x[v]``
+    is indexed by node id (entry 0 is unused padding); ``y`` and
+    ``y_lifted`` follow the instance's edge list order.
     """
 
     x: tuple[float, ...]
@@ -348,7 +321,7 @@ def evaluate_objective(instance: Instance, solution: FlowSolution) -> float:
     return math.fsum(terms)
 
 
-def _check_flow(instance: Instance, x: tuple[int, ...], y: tuple[int, ...]) -> None:
+def _check_flow(instance: Instance, x: tuple[float, ...], y: tuple[float, ...]) -> None:
     for val in y:
         if val not in (0, 1):
             raise InstanceValidationError("flow not integral")
@@ -395,8 +368,8 @@ def active_st_paths(instance: Instance, solution: FlowSolution) -> list[tuple[in
 
 
 def lifted_labels_from_flow(
-    instance: Instance, x: tuple[int, ...], y: tuple[int, ...]
-) -> tuple[int, ...]:
+    instance: Instance, x: tuple[float, ...], y: tuple[float, ...]
+) -> tuple[float, ...]:
     """The unique lifted labeling induced by an integral flow.
 
     A lifted edge (u, v) is 1 iff u and v lie on the same active path with
@@ -412,7 +385,7 @@ def lifted_labels_from_flow(
     for u, v, _ in instance.lifted_edges:
         pu = where.get(u)
         pv = where.get(v)
-        labels.append(1 if pu and pv and pu[0] == pv[0] and pu[1] < pv[1] else 0)
+        labels.append(_LABELS[bool(pu and pv and pu[0] == pv[0] and pu[1] < pv[1])])
     return tuple(labels)
 
 
@@ -420,18 +393,19 @@ def solution_from_paths(
     instance: Instance, paths: Iterable[Iterable[int]]
 ) -> FlowSolution:
     """Build the full labeling for a set of node-disjoint inner-node paths."""
-    x = [0] * (instance.n + 1)
-    y = [0] * len(instance.base_edges)
+    zero, one = _LABELS
+    x = [zero] * (instance.n + 1)
+    y = [zero] * len(instance.base_edges)
     for path in paths:
         nodes = list(path)
         prev = SOURCE
         for v in nodes:
             if x[v]:
                 raise InstanceValidationError(f"paths share node {v}")
-            x[v] = 1
-            y[_edge_or_die(instance, prev, v)] = 1
+            x[v] = one
+            y[_edge_or_die(instance, prev, v)] = one
             prev = v
-        y[_edge_or_die(instance, prev, SINK)] = 1
+        y[_edge_or_die(instance, prev, SINK)] = one
     y_t = tuple(y)
     x_t = tuple(x)
     labels = lifted_labels_from_flow(instance, x_t, y_t)

@@ -1,23 +1,24 @@
 """Binary-program backend: bounded-variable simplex plus branch-and-bound.
 
-The LP core is a revised simplex over box-bounded variables (structural
-variables live in [0, 1] unless a caller tightens them; slacks in [0, inf)).
-A fresh LP is solved by the two-phase primal method from a crash point with
-every structural at its lower bound, except a column that no starting row
-touches, which starts at its cheaper bound.  The crash basis is diagonal: a
-row takes its slack where the slack is feasible, else a structural column
-with no entry in another row whose value closing the row stays in its box
-(a singleton; every tracking flow row has one), else an artificial.  A crash
-whose artificials are all 0 skips phase 1, with the artificials frozen at 0.
-Pricing is Dantzig's rule, switching to Bland's rule after 3*(m+n)
-degenerate pivots so cycling cannot occur.  Infeasibility is reported with
-the index of a constraint whose phase-1 artificial stays basic and positive.
+The LP core is a revised simplex over finite boxes (structural variables
+live in [0, 1] unless a caller gives other finite bounds), so every LP is
+bounded.  Each row has one slack: +1 for `<=` and `=`, -1 for `>=`, fixed at
+0 for `=`.  The crash point puts every structural at its lower bound, except
+a column no starting row touches, which starts at its cheaper bound.  The
+crash basis is diagonal: an inequality row takes its slack, an equality row
+a column with no entry in another row whose value closing the row stays in
+its box (a singleton; every tracking flow row has one), else its slack.  A
+feasible crash is solved by the primal simplex; otherwise the all-slack
+basis with every structural at its cheaper bound is dual feasible, and the
+dual simplex below starts from it.  Pricing is Dantzig's rule, switching to
+Bland's rule after 3*(m+n) degenerate pivots so cycling cannot occur.
 
 A solved LP stays live: after a bound change or appended rows its basis is
 still dual feasible, and a bounded dual simplex (leaving row: the largest
 bound violation; entering column: the dual ratio test, with the same Bland
-fallback) restores primal feasibility in a few pivots.  Past 400 rows only
-the equality rows start active; the inequality rows a vertex violates are
+fallback) restores primal feasibility in a few pivots.  A row whose bound
+violation no entering column can reduce proves the LP infeasible.  Past 400
+rows only the equality rows start active; the rows a vertex violates are
 appended with their slacks basic and the LP is reoptimised this way.
 
 The integer layer is best-first branch-and-bound over one live LP: every
@@ -27,7 +28,7 @@ Nodes are ordered by LP bound, branching picks the fractional variable with
 the largest objective stake, and the first node popped with an integral
 vertex is the optimum.  Nothing is pruned against an incumbent, so the search
 stays valid as rows are added: a later call resumes it after the caller
-appended inequality rows, and only the open nodes those rows cut off are
+appended rows, and only the open nodes those rows cut off are
 reoptimised, from their own bases; nothing is rebuilt or re-crashed.  With a
 cutoff, a node whose bound exceeds it by more than 1e-9 is pruned for good,
 and a search that finds no solution at or below the cutoff ends with status
@@ -41,13 +42,13 @@ into one.  The LP matrix, crash point, lazy activation and integral re-check
 read it, and `_RowStore.violated` alone decides row violation.  The only
 presolve is dropping empty rows, after checking that they are satisfiable.
 The LP matrix is one entry array sorted by column: the store entries of the
-LP's rows, one +-1 entry per slack and per artificial, and the entries of
-rows appended later.  It takes three arrays of one word per non-zero, beside
-the m x m basis inverse.  Per pivot, pricing costs O(non-zeros); the
-entering column B^-1 a_j reads only the inverse's columns at a_j's rows; the
-duals (primal) or reduced costs (dual) are updated by one multiple of the
-pivot row; and the ratio test, the step and the inverse update touch only
-the rows where B^-1 a_j is non-zero.  The inverse is rebuilt densely every
+LP's rows, one +-1 entry per slack, and the entries of rows appended later.
+It takes three arrays of one word per non-zero, beside the m x m basis
+inverse.  Per pivot, pricing costs O(non-zeros); the entering column
+B^-1 a_j reads only the inverse's columns at a_j's rows; the duals (primal)
+or reduced costs (dual) are updated by one multiple of the pivot row; and
+the ratio test, the step and the inverse update touch only the rows where
+B^-1 a_j is non-zero.  The inverse is rebuilt densely every
 256 basis changes, and a node that restores the live basis keeps it.
 """
 
@@ -73,6 +74,9 @@ _SENSE_EQ = 1
 _SENSE_GE = 2
 _SENSES = {"<=": _SENSE_LE, "=": _SENSE_EQ, ">=": _SENSE_GE}
 _SENSE_NAMES = ("<=", "=", ">=")
+#: By sense code: a row's slack coefficient and the slack's upper bound.
+_SLACK_SIGN = np.array([1.0, 1.0, -1.0])
+_SLACK_UP = np.array([np.inf, 0.0, np.inf])
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -159,10 +163,9 @@ def check_violation(constraint: LinearConstraint, values) -> float:
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
+    status: str  # "optimal" | "infeasible" | "iteration_limit": a boxed LP is bounded
     objective: float | None
     values: np.ndarray | None  # aligned with the `variables` argument
-    infeasible_constraint: int | None = None  # None if found after rows were appended
     iterations: int = 0  # simplex pivots, primal and dual
 
 
@@ -292,42 +295,41 @@ class _RowStore(Sequence):
 
     def entries(self, idx: np.ndarray, first_slack: int) -> tuple[np.ndarray, ...]:
         """COO (row, col, val) of the rows `idx`, renumbered 0.. in that
-        order, with a +-1 slack column for each inequality row numbered from
-        `first_slack`."""
+        order, with each row's slack entry: row r's slack is column
+        `first_slack + r`."""
         pos = np.full(len(self.rhs), -1)
         pos[idx] = np.arange(len(idx))
         r = pos[self.row]
         keep = r >= 0
-        sense = self.sense[idx]
-        ineq = np.flatnonzero(sense != _SENSE_EQ)
+        own = np.arange(len(idx))
         return (
-            np.concatenate([r[keep], ineq]),
-            np.concatenate([self.col[keep], first_slack + np.arange(len(ineq))]),
-            np.concatenate([self.val[keep], np.where(sense[ineq] == _SENSE_LE, 1.0, -1.0)]),
+            np.concatenate([r[keep], own]),
+            np.concatenate([self.col[keep], first_slack + own]),
+            np.concatenate([self.val[keep], _SLACK_SIGN[self.sense[idx]]]),
         )
 
 
 class _Simplex:
-    """A live LP: min c.x  s.t.  the non-empty rows of `rows`,  lo <= x <= up.
+    """A live LP: min c.x  s.t.  the non-empty rows of `rows`,  lo <= x <= up
+    for finite lo and up.
 
     The LP's rows are `active`, indices into the store in LP row order; the
     rest of the non-empty rows are `pending`, and a caller may add store
-    rows appended later to them.  `solve` runs the two-phase primal method
-    from the crash point (structurals at their lower bounds, or at their
-    cheaper bounds where no active row touches them) and the crash basis
-    (slacks, singleton columns, artificials), or phase 2 alone when the
-    crash is feasible.  After it, `restore` (a stored basis under new
-    structural bounds) and `add_rows` keep the basis dual feasible, and
-    `reoptimise` recovers an optimum by dual pivots.  `_phase` carries the
-    duals pi and `_dual` the reduced costs d from pivot to pivot, and both
-    recompute them after each refactor; `_phase` also recomputes pi before
-    it reports an optimum.  Past `_LAZY_ROW_THRESHOLD` non-empty rows only
-    the equality rows start active; `solve` and `reoptimise` both append the
-    pending rows the vertex violates and reoptimise until none is.
-    The LP matrix is the entries (`a_row`, `a_col`, `a_val`) in LP row and
-    column numbering, sorted by column, with column j's entries at
-    `a_ptr[j]:a_ptr[j + 1]`.  A repeated entry adds up.  `add_rows` merges
-    the appended rows' entries in.
+    rows appended later to them.  LP row r's slack is column `nstruct + r`.
+    It starts from the crash basis (slacks, and singletons for equality
+    rows) when that is feasible, else from the dual-feasible slack basis.
+    `restore` (a stored basis under new structural bounds) and `add_rows`
+    keep the basis dual feasible.  `solve` and `reoptimise` both run dual
+    pivots until the basis is primal feasible, then primal pivots until it
+    is optimal.  `_phase` carries the duals pi and `_dual` the reduced costs
+    d from pivot to pivot, and both recompute them after each refactor;
+    `_phase` also recomputes pi before it reports an optimum.  Past
+    `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
+    active; `solve` and `reoptimise` both append the pending rows the vertex
+    violates and reoptimise until none is.  The LP matrix is the entries
+    (`a_row`, `a_col`, `a_val`) in LP row and column numbering, sorted by
+    column, with column j's entries at `a_ptr[j]:a_ptr[j + 1]`.  A repeated
+    entry adds up.  `add_rows` merges the appended rows' entries in.
     """
 
     def __init__(
@@ -345,67 +347,60 @@ class _Simplex:
         self.active = np.flatnonzero(first)
         self.pending = np.flatnonzero(rows.nonempty & ~first)
 
-        self.nstruct = len(c)
-        m = len(self.active)
-        self.m = m
+        n = self.nstruct = len(c)
+        m = self.m = len(self.active)
+        ncols = self.ncols = n + m
         senses = rows.sense[self.active]
-        ridx, cidx, data = rows.entries(self.active, self.nstruct)
-        ineq = np.flatnonzero(senses != _SENSE_EQ)
-        nslack_end = self.nstruct + len(ineq)
+        ridx, cidx, data = rows.entries(self.active, n)
+        self._set_entries(ridx, cidx, data)
+        self.lo = np.concatenate([lo, np.zeros(m)])
+        self.up = np.concatenate([up, _SLACK_UP[senses]])
+        sign = _SLACK_SIGN[senses]
 
         # Crash point: every structural sits on its lower bound, except that
         # a column no active row touches sits on its cheaper bound.  Such a
         # column moves no basic variable and changes no dual, so starting it
         # there saves a pricing pass per bound flip and changes no basis.
-        struct = np.flatnonzero(cidx < self.nstruct)
-        untouched = np.ones(self.nstruct, dtype=bool)
+        struct = np.flatnonzero(cidx < n)
+        untouched = np.ones(n, dtype=bool)
         untouched[cidx[struct]] = False
-        x0 = np.where(untouched & (c < 0) & np.isfinite(up), up, lo)
+        x0 = np.where(untouched & (c < 0), up, lo)
         resid = (rows.rhs - rows.lhs(x0))[self.active]
 
-        # Crash basis (Bixby, ORSA J. Computing 1992): a slack where it is
-        # feasible; else a structural column with no other entry in an
-        # active row, if closing the row's residual keeps it in its box;
-        # else an artificial column signed so that it starts non-negative.
-        # Each such column touches its row alone, so B stays diagonal.
-        slack_ok = ((senses == _SENSE_LE) & (resid >= 0)) | (
-            (senses == _SENSE_GE) & (resid <= 0)
-        )
-        once = np.bincount(cidx[struct], minlength=self.nstruct) == 1
-        k = struct[once[cidx[struct]] & ~slack_ok[ridx[struct]] & (data[struct] != 0)]
+        # Crash basis (Bixby, ORSA J. Computing 1992): an inequality row
+        # takes its slack; an equality row a structural column with no
+        # other entry in an active row, if closing the row's residual keeps
+        # it in its box, else its fixed slack.  Each such column touches
+        # its row alone, so B stays diagonal.
+        once = np.bincount(cidx[struct], minlength=n) == 1
+        eq = senses[ridx[struct]] == _SENSE_EQ
+        k = struct[once[cidx[struct]] & eq & (data[struct] != 0)]
         value = x0[cidx[k]] + resid[ridx[k]] / data[k]
         fits = (lo[cidx[k]] <= value) & (value <= up[cidx[k]])
         sing, first = np.unique(ridx[k[fits]], return_index=True)
-        k, value = k[fits][first], value[fits][first]
-        art = np.setdiff1d(np.flatnonzero(~slack_ok), sing)
-        n_art = len(art)
-        art_sign = np.where(resid[art] >= 0, 1.0, -1.0)
-        basis = np.empty(m, dtype=np.int64)
-        basis[ineq] = np.arange(self.nstruct, nslack_end)
+        k = k[fits][first]
+        basis = n + np.arange(m)
         basis[sing] = cidx[k]
-        basis[art] = nslack_end + np.arange(n_art)
-        binv_diag = np.where(senses == _SENSE_GE, -1.0, 1.0)
+        binv_diag = sign.copy()  # a slack column +-e_r is its own inverse
         binv_diag[sing] = 1.0 / data[k]
-        binv_diag[art] = art_sign
-        self.art_start = nslack_end
-        ncols = nslack_end + n_art
+        xB = sign * resid
+        xB[sing] = value[fits][first]
+        if ((xB < self.lo[basis]) | (xB > self.up[basis])).any():
+            # Infeasible crash: the slack basis has duals 0, so d_j = c_j, and
+            # with every structural at its cheaper bound it is dual feasible:
+            # `_dual` can start from it (Koberstein, The dual simplex method,
+            # PhD thesis, Paderborn 2005, ch. 4).
+            x0 = np.where(c < 0, up, lo)
+            basis, binv_diag = n + np.arange(m), sign
+            xB = sign * (rows.rhs - rows.lhs(x0))[self.active]
 
-        self.lo = np.concatenate([lo, np.zeros(ncols - self.nstruct)])
-        self.up = np.concatenate([up, np.full(ncols - self.nstruct, np.inf)])
-        self.ncols = ncols
-        self._set_entries(
-            np.concatenate([ridx, art]),
-            np.concatenate([cidx, basis[art]]),
-            np.concatenate([data, art_sign]),
-        )
         self.basis = basis
         self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
-        self.vstat[: self.nstruct][x0 == up] = _AT_UPPER
+        self.vstat[:n][x0 == up] = _AT_UPPER
         self.vstat[basis] = _BASIC
-        self.x = np.concatenate([x0, np.zeros(ncols - self.nstruct)])
+        self.x = np.concatenate([x0, np.zeros(m)])
         self.Binv = np.diag(binv_diag)
-        self.xB = binv_diag * resid
-        self.xB[sing] = value
+        self.xB = xB
         self.c_struct = c
         self.iterations = 0  # passes of the current solve, for its limit
         self.pivots = 0  # basis changes and bound flips over the LP's life
@@ -476,12 +471,11 @@ class _Simplex:
         self.pivots += 1
         self.updates += 1
 
-    def _phase(self, c: np.ndarray, phase1: bool) -> str:
+    def _phase(self, c: np.ndarray) -> str:
+        """Bounded primal simplex from a primal-feasible basis."""
         if not self.ncols:
             return "optimal"  # no column to price
         movable = (self.up - self.lo) > 0
-        if phase1:
-            movable[self.art_start :] = False  # artificials never re-enter
         pi = None  # the duals c_B Binv: updated per pivot, recomputed when None
         while True:
             if self.iterations >= self.iteration_limit:
@@ -518,8 +512,8 @@ class _Simplex:
             t_rows[np.abs(delta) <= _TOL_PIVOT] = np.inf
             t_min_rows = float(t_rows.min(initial=np.inf))
             t = min(t_min_rows, self.up[j] - self.lo[j])
-            if not np.isfinite(t):
-                return "unbounded"
+            if not np.isfinite(t):  # every structural is boxed: only drift gets here
+                raise MilpError("unbounded step in a boxed LP")
             if t <= 1e-12:
                 self.degenerate += 1
                 if self.degenerate > self.bland_threshold:
@@ -608,29 +602,14 @@ class _Simplex:
             self._pivot(r, col, nz)
             self.xB[r] = entering_val
 
-    def solve(self) -> tuple[str, int | None]:
-        """Run both phases and activate violated rows; returns (status, the
-        index into `rows` of a blocking row or None).  A crash whose
-        artificials are all 0 is already feasible and skips phase 1."""
-        if self.xB[self.basis >= self.art_start].any():
-            c1 = np.zeros(self.ncols)
-            c1[self.art_start :] = 1.0
-            status = self._phase(c1, phase1=True)
-            if status != "optimal":
-                return status, None
-            art_rows = np.flatnonzero(self.basis >= self.art_start)
-            art_sum = float(self.xB[art_rows].sum())
-            tol = _TOL_FEAS * max(1.0, float(np.abs(self.rows.rhs[self.active]).sum()))
-            if art_sum > tol:
-                row = art_rows[np.argmax(self.xB[art_rows])]
-                return "infeasible", int(self.active[row])
-        self.up[self.art_start :] = 0.0  # freeze artificials for phase 2
-        return self._activate(self._phase(self._costs(), phase1=False)), None
-
     def reoptimise(self) -> str:
-        """Recover an optimum after `restore` or `add_rows`, then activate
-        violated rows."""
+        """Recover an optimum from the start, or after `restore` or
+        `add_rows`, then activate violated rows."""
         return self._activate(self._reoptimise())
+
+    # From the start: a feasible crash makes no dual pivot, and the slack
+    # start is dual feasible.
+    solve = reoptimise
 
     def _reoptimise(self) -> str:
         self.iterations = 0
@@ -640,9 +619,11 @@ class _Simplex:
         status = self._dual(c)
         if status != "optimal":
             return status
-        # Drift can leave a reduced cost a hair on the wrong side; the primal
-        # phase repairs that, and otherwise stops at its first pricing.
-        return self._phase(c, phase1=False)
+        # From a feasible crash the primal phase does the work.  After dual
+        # pivots, drift can leave a reduced cost a hair on the wrong side;
+        # the primal phase repairs that, and otherwise stops at its first
+        # pricing.
+        return self._phase(c)
 
     def _activate(self, status: str) -> str:
         while status == "optimal" and self.pending.size:
@@ -654,8 +635,8 @@ class _Simplex:
         return status
 
     def add_rows(self, indices: np.ndarray) -> None:
-        """Append pending inequality rows with their slacks basic.  The basis
-        stays dual feasible; a violated row's slack starts out of bounds."""
+        """Append pending rows with their slacks basic.  The basis stays dual
+        feasible; a violated row's slack starts out of bounds."""
         k, m0, n0 = len(indices), self.m, self.ncols
         ridx, cidx, data = self.rows.entries(indices, n0)
         self.m += k
@@ -665,7 +646,8 @@ class _Simplex:
             np.concatenate([self.a_col, cidx]),
             np.concatenate([self.a_val, data]),
         )
-        sign = np.where(self.rows.sense[indices] == _SENSE_LE, 1.0, -1.0)
+        senses = self.rows.sense[indices]
+        sign = _SLACK_SIGN[senses]
         xfull = self.x.copy()
         xfull[self.basis] = self.xB
         slack = sign * (self.rows.rhs[indices] - self.rows.lhs(xfull[: self.nstruct])[indices])
@@ -680,7 +662,7 @@ class _Simplex:
         self.vstat = np.concatenate([self.vstat, np.full(k, _BASIC)])
         self.x = np.concatenate([self.x, np.zeros(k)])
         self.lo = np.concatenate([self.lo, np.zeros(k)])
-        self.up = np.concatenate([self.up, np.full(k, np.inf)])
+        self.up = np.concatenate([self.up, _SLACK_UP[senses]])
         self.bland_threshold = 3 * (self.m + self.nstruct)
         self.active = np.concatenate([self.active, indices])
         self.pending = np.setdiff1d(self.pending, indices, assume_unique=True)
@@ -738,12 +720,12 @@ def _row_store(
     return rows
 
 
-def _per_variable(values: Sequence[float], n: int, name: str, *, inf_ok=False) -> np.ndarray:
-    """`values` as a vector of n numbers, finite unless `inf_ok`; NaN never is."""
+def _per_variable(values: Sequence[float], n: int, name: str) -> np.ndarray:
+    """`values` as a vector of n finite numbers."""
     vector = np.asarray(list(values), dtype=float)
     if vector.shape != (n,):
         raise MilpError(f"{name} length does not match variables")
-    if (np.isnan(vector) if inf_ok else ~np.isfinite(vector)).any():
+    if not np.isfinite(vector).all():
         raise MilpError(f"{name} has a non-finite entry")
     return vector
 
@@ -757,33 +739,30 @@ def solve_lp(
     upper: Sequence[float] | None = None,
     iteration_limit: int | None = None,
 ) -> LpResult:
-    """Minimize over the box [0,1]^n (or the given bounds) under `constraints`,
-    a sequence of `LinearConstraint`s or a row store over `variables`.
+    """Minimize over the box [0,1]^n (or the given finite bounds) under
+    `constraints`, a sequence of `LinearConstraint`s or a row store over
+    `variables`.
 
     The returned vertex satisfies every given constraint to within 1e-9
     (large sets are handled by activating inequality rows on violation, which
     does not change the optimum or vertex status of the result).  The
-    objective and the given bounds must have one entry per variable, and be
-    finite except that an upper bound may be inf, or `MilpError` is raised.
-    `iteration_limit` caps the passes of each solve: the first, and each
-    reoptimisation after rows are activated.
+    objective and the given bounds must have one finite entry per variable,
+    or `MilpError` is raised.  `iteration_limit` caps the passes of each
+    solve: the first, and each reoptimisation after rows are activated.
     """
     n = len(variables)
     c = _per_variable(objective, n, "objective")
     lo = np.zeros(n) if lower is None else _per_variable(lower, n, "lower")
-    up = np.ones(n) if upper is None else _per_variable(upper, n, "upper", inf_ok=True)
+    up = np.ones(n) if upper is None else _per_variable(upper, n, "upper")
     if np.any(lo > up + 1e-12):
         return LpResult("infeasible", None, None)
     rows = _row_store(variables, constraints)
-    bad = np.flatnonzero(~rows.nonempty & rows.violated(np.zeros(n)))
-    if bad.size:
-        return LpResult("infeasible", None, None, infeasible_constraint=int(bad[0]))
+    if (~rows.nonempty & rows.violated(np.zeros(n))).any():
+        return LpResult("infeasible", None, None)
     simplex = _Simplex(c, rows, lo, up, iteration_limit)
-    status, row = simplex.solve()
-    if status == "infeasible":
-        return LpResult("infeasible", None, None, row, simplex.pivots)
+    status = simplex.solve()
     if status != "optimal":
-        return LpResult(status, None, None, iterations=simplex.pivots)
+        return LpResult(status, None, None, simplex.pivots)
     vals = simplex.structural_values()
     return LpResult("optimal", float(c @ vals), vals, iterations=simplex.pivots)
 
@@ -814,8 +793,6 @@ class _Search:
     def grow(self) -> None:
         """Make the store rows appended since the last call pending LP rows."""
         rows, new = self.rows, np.arange(self.known, len(self.rows))
-        if (rows.sense[new] == _SENSE_EQ).any():
-            raise MilpError("a resumed search takes only appended inequality rows")
         if (~rows.nonempty[new] & rows.violated(np.zeros(len(self.c)), first=self.known)).any():
             self.heap.clear()  # an empty row that no point satisfies
             self.cut_bound = math.inf
@@ -843,7 +820,7 @@ class _Search:
                 heapq.heappop(heap)
                 nodes += 1
                 if basis is None:
-                    status = lp.solve()[0]
+                    status = lp.solve()
                 else:
                     lp.restore(basis, lo, up)
                     status = lp.reoptimise()
@@ -903,7 +880,7 @@ def solve_binary(
     sequence of `LinearConstraint`s or a row store over `variables`.
 
     `resume` continues an earlier result's search over the same row store,
-    objective and cutoff after inequality rows were appended to the store
+    objective and cutoff after rows of any sense were appended to the store
     (anything else raises `MilpError`): open nodes whose vertex a new row
     cuts off are reoptimised from their own basis, and no LP is rebuilt.
     `node_limit` caps the LPs this call solves, re-solves included.

@@ -53,12 +53,14 @@ from liftedpaths.driver import (
     solve,
 )
 from liftedpaths.instance import (
+    _LABELS,
     SINK,
     SOURCE,
     FlowSolution,
     Instance,
     Reachability,
     active_st_paths,
+    solution_from_paths,
 )
 from liftedpaths.milp import MilpError, check_violation
 from liftedpaths.oracle import all_st_paths, brute_force_optimum
@@ -215,13 +217,26 @@ def test_round_stats_report_master_nodes_and_pivots():
 def test_solved_labels_are_two_shared_floats():
     """Every label of a solved `FlowSolution` is one of two float objects,
     so a held solution costs a pointer per label."""
-    zero, one = driver._LABELS
+    zero, one = _LABELS
     assert (type(zero), zero, type(one), one) == (float, 0.0, float, 1.0)
     for inst in (demo_instance(), framed_instance(), tightening_instance()):
         sol = solve(inst).solution
         labels = sol.x + sol.y + sol.y_lifted
         assert all(v is zero or v is one for v in labels)
         assert any(v is one for v in labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_solved_and_path_built_solutions_are_equal_and_share_labels(seed):
+    """`solve` and `solution_from_paths` over the solved paths build the same
+    solution, and both from the same two label objects."""
+    inst = random_instance(random.Random(seed), max_inner=8, max_base=16, max_lift=6)
+    solved = solve(inst).solution
+    built = solution_from_paths(inst, active_st_paths(inst, solved))
+    assert built == solved
+    for sol in (solved, built):
+        assert all(v is _LABELS[0] or v is _LABELS[1] for v in sol.x + sol.y + sol.y_lifted)
 
 
 def test_the_returned_cut_pool_certifies_in_one_round():
@@ -329,9 +344,11 @@ def layered_instance() -> Instance:
 def with_frames(inst: Instance) -> Instance:
     """The same instance, each node framed at its longest-path depth, so
     that nodes share frames."""
-    depth = {}
-    for v in inst.topo_order:
-        depth[v] = 1 + max((depth[u] for _, u in inst.in_edges[v] if u != SOURCE), default=0)
+    depth = dict.fromkeys(inst.inner_nodes(), 1)
+    for _ in inst.inner_nodes():  # n relaxations settle every longest path
+        for u, v, _ in inst.base_edges:
+            if u != SOURCE and v != SINK:
+                depth[v] = max(depth[v], depth[u] + 1)
     return Instance(
         inst.n, inst.base_edges, inst.lifted_edges,
         {v: c for v, c in enumerate(inst.node_costs) if v}, depth,

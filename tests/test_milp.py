@@ -6,7 +6,6 @@ import math
 import random
 import re
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -117,8 +116,6 @@ def test_lp_agrees_with_scipy_on_box_problems(seed, boxed):
     ref = oracles.lp_reference(vs, objective, rows, lower, upper)
     if ref.status == 2:
         assert mine.status == "infeasible"
-        blocking = rows[mine.infeasible_constraint]
-        assert blocking in rows
     else:
         assert ref.status == 0
         assert mine.status == "optimal"
@@ -131,13 +128,15 @@ def test_lp_agrees_with_scipy_on_box_problems(seed, boxed):
 
 
 def test_lp_reports_a_blocking_row_when_infeasible():
+    """A row no point of the box satisfies makes the LP infeasible."""
     (a,) = handles(1)
     out = solve_lp([a], [1.0], [LinearConstraint(((a, 1.0),), ">=", 2.0, "t")])
-    assert out.status == "infeasible"
-    assert out.infeasible_constraint == 0
+    assert (out.status, out.objective, out.values) == ("infeasible", None, None)
 
 
 def test_blocking_row_index_counts_the_empty_rows_before_it():
+    """Satisfiable empty rows before and after a blocking row leave the LP
+    and the binary program infeasible, and without it both are solved."""
     a, b = handles(2)
     rows = [
         LinearConstraint((), "<=", 1.0, "empty"),
@@ -147,24 +146,21 @@ def test_blocking_row_index_counts_the_empty_rows_before_it():
         LinearConstraint(((a, 1.0), (b, 1.0)), ">=", 3.0, "blocks"),
         LinearConstraint((), ">=", -1.0, "empty"),
     ]
-    out = solve_lp([a, b], [1.0, 1.0], rows)
-    assert out.status == "infeasible"
-    assert out.infeasible_constraint == 4
+    assert solve_lp([a, b], [1.0, 1.0], rows).status == "infeasible"
     assert solve_binary([a, b], [1.0, 1.0], rows).status == "infeasible"
     assert solve_lp([a, b], [1.0, 1.0], rows[:4]).status == "optimal"
 
 
-def test_lp_detects_unbounded_rays():
+def test_lazy_rows_bound_the_optimum_over_a_wide_box():
+    """401 rows `a <= 5 + i` start pending, past the lazy-row threshold,
+    so the first vertex is a = 10; the activated rows bring it to 5, as
+    400 rows that all start active do."""
     (a,) = handles(1)
-    out = solve_lp(
-        [a],
-        [-1.0],
-        [LinearConstraint(((a, 1.0),), ">=", 0.5, "t")],
-        lower=[0.0],
-        upper=[float("inf")],
-    )
-    assert out.status == "unbounded"
-    assert out.objective is None
+    for k in (400, 401):
+        rows = [LinearConstraint(((a, 1.0),), "<=", 5.0 + i, "t") for i in range(k)]
+        out = solve_lp([a], [-1.0], rows, lower=[0.0], upper=[10.0])
+        assert (out.status, out.objective) == ("optimal", -5.0)
+    assert milp._LAZY_ROW_THRESHOLD == 400
 
 
 def test_lp_stops_at_the_iteration_limit():
@@ -247,13 +243,14 @@ def test_non_finite_row_data_is_rejected(solve, where, bad):
         pytest.param(solve_lp, [1.0, 1.0], {"lower": [-math.inf, 0.0]}, id="lp-lower-minus-inf"),
         pytest.param(solve_lp, [1.0, 1.0], {"lower": [math.nan, 0.0]}, id="lp-lower-nan"),
         pytest.param(solve_lp, [1.0, 1.0], {"upper": [math.nan, 1.0]}, id="lp-upper-nan"),
+        pytest.param(solve_lp, [1.0, 1.0], {"upper": [math.inf, 1.0]}, id="lp-upper-inf"),
         pytest.param(solve_binary, [math.inf, 1.0], {}, id="binary-objective-inf"),
         pytest.param(solve_binary, [-math.inf, 1.0], {}, id="binary-objective-minus-inf"),
         pytest.param(solve_binary, [math.nan, 1.0], {}, id="binary-objective-nan"),
     ],
 )
 def test_non_finite_objectives_and_bounds_are_rejected(solve, objective, bounds):
-    """Only an upper bound may be infinite (`test_lp_detects_unbounded_rays`)."""
+    """Every LP is over a finite box, so no bound may be infinite."""
     vs = handles(2)
     rows = [LinearConstraint(tuple((h, 1.0) for h in vs), "<=", 1.5, "t")]
     with pytest.raises(milp.MilpError, match="non-finite entry"):
@@ -304,7 +301,7 @@ def test_restore_keeps_the_inverse_of_the_live_basis_alone(seed):
     vs, objective, rows = parity_program(random.Random(seed))
     n = len(vs)
     lp = milp._Simplex(np.asarray(objective), milp._row_store(vs, rows), np.zeros(n), np.ones(n))
-    assume(lp.solve()[0] == "optimal")
+    assume(lp.solve() == "optimal")
     root, vals = lp.snapshot(), lp.structural_values()
     j = int(np.argmax(np.abs(vals - np.round(vals))))
     for fixed in (0.0, 1.0):  # the second child's basis is the first's optimum
@@ -374,7 +371,7 @@ def test_carried_duals_and_reduced_costs_price_like_exact_ones(seed):
         patch.setattr(milp._Simplex, "_pivot", checked_pivot)
         mine = solve_binary(vs, objective, rows)
         lp = milp._Simplex(box_objective, milp._row_store(box, box_rows), np.zeros(n), np.ones(n))
-        if lp.solve()[0] == "optimal":
+        if lp.solve() == "optimal":
             root = lp.snapshot()
             for _ in range(8):
                 lo, up = np.zeros(n), np.ones(n)
@@ -405,9 +402,10 @@ def test_reoptimised_branching_agrees_with_enumeration(seed):
 def resume_case(rng):
     """A parity program cut in two: the first batch holds every equality
     row, the second the rest of its rows plus 0-3 rows that pick some
-    binaries to be all on or at most one on.  The cutoff is None or lies
-    0-1 above the first batch's optimum, so the second batch can push the
-    optimum past it."""
+    binaries to be all on or at most one on, and 0-2 equality rows that fix
+    how many of some binaries are on.  The cutoff is None or lies 0-1 above
+    the first batch's optimum, so the second batch can push the optimum
+    past it."""
     vs, objective, rows = parity_program(rng)
     first = [r for r in rows if r.sense == "=" or rng.random() < 0.5]
     second = [r for r in rows if r not in first]
@@ -420,6 +418,10 @@ def resume_case(rng):
         head = solve_binary(vs, objective, first)
         if head.status == "optimal":
             cutoff = head.objective + rng.choice((0.0, 0.5, 1.0))
+    for _ in range(rng.randint(0, 2)):
+        picked = rng.sample(vs, rng.randint(1, 3))
+        on = float(rng.randint(0, len(picked)))
+        second.append(LinearConstraint(tuple((h, 1.0) for h in picked), "=", on, "fix"))
     return vs, objective, first, second, cutoff
 
 
@@ -474,7 +476,7 @@ def test_resumed_searches_end_in_every_status():
     assert {("optimal", "optimal"), ("optimal", "infeasible"), ("optimal", "cutoff")} <= ends
 
 
-def test_resume_refuses_another_store_objective_or_cutoff_and_equality_rows():
+def test_resume_refuses_another_store_objective_or_cutoff():
     vs = handles(3)
     rows = [LinearConstraint(tuple((h, 2.0) for h in vs), "<=", 3.0, "t")]
     objective = [-1.0, -1.0, -2.0]
@@ -492,9 +494,6 @@ def test_resume_refuses_another_store_objective_or_cutoff_and_equality_rows():
             solve_binary(vs, costs, again, cutoff=cutoff, resume=head)
     with pytest.raises(milp.MilpError, match="resume needs"):
         solve_binary(vs, objective, store, resume=solve_binary(vs, objective, store, node_limit=0))
-    store.extend([LinearConstraint(((vs[0], 1.0),), "=", 0.0, "t")])
-    with pytest.raises(milp.MilpError, match="only appended inequality rows"):
-        solve_binary(vs, objective, store, resume=head)
 
 
 def test_an_appended_empty_row_that_fails_at_zero_ends_the_search_infeasible():
@@ -575,7 +574,8 @@ def test_parity_programs_branch_into_infeasible_children(monkeypatch):
         mine = solve_binary(vs, objective, rows)
         assert_matches_enumeration(vs, objective, rows, mine)
         deepest = max(deepest, mine.nodes_explored)
-        assert mine.lp_iterations > 0
+        if mine.nodes_explored > 1:  # the slack start can be optimal at once
+            assert mine.lp_iterations > 0
     assert deepest > 1
     assert "infeasible" in log.reoptimised
     assert "optimal" in log.reoptimised
@@ -699,45 +699,14 @@ def test_a_cutoff_below_the_root_bound_ends_at_the_root():
 def reference_matrix(store, active, appended, nstruct):
     """The LP matrix over `active` store rows and then `appended` ones, one
     coefficient at a time from the store: structural entries (a repeated
-    handle adds up), a +-1 slack per inequality row (the appended rows'
-    slacks last), and a signed artificial per row that has neither a slack
-    that holds the crash x = 0 nor a singleton: a column with one store
-    entry among the active rows, a, where rhs / a lies in [0, 1]."""
+    handle adds up), then one slack per row in that order, +1 for `<=` and
+    `=` and -1 for `>=`."""
     rows = list(active) + list(appended)
-    ineq = [r for r, i in enumerate(active) if store.sense[i] != milp._SENSE_EQ]
-    sense, rhs = store.sense, store.rhs
-    entries = [
-        (r, store.col[k], store.val[k])
-        for r, i in enumerate(active)
-        for k in range(store.start[i], store.start[i + 1])
-    ]
-    uses = Counter(j for _, j, _ in entries)
-    singleton = {
-        r for r, j, v in entries if uses[j] == 1 and v != 0 and 0 <= rhs[active[r]] / v <= 1
-    }
-    art = [
-        r
-        for r, i in enumerate(active)
-        if r not in singleton
-        and (
-            sense[i] == milp._SENSE_EQ
-            or (sense[i] == milp._SENSE_LE and rhs[i] < 0)
-            or (sense[i] == milp._SENSE_GE and rhs[i] > 0)
-        )
-    ]
-    ncols = nstruct + len(ineq) + len(art) + len(appended)
-    a = np.zeros((len(rows), ncols))
+    a = np.zeros((len(rows), nstruct + len(rows)))
     for r, i in enumerate(rows):
         for k in range(store.start[i], store.start[i + 1]):
             a[r, store.col[k]] += store.val[k]
-    for k, r in enumerate(ineq):
-        a[r, nstruct + k] = 1.0 if sense[active[r]] == milp._SENSE_LE else -1.0
-    for k, r in enumerate(art):
-        a[r, nstruct + len(ineq) + k] = 1.0 if rhs[active[r]] >= 0 else -1.0
-    for k, i in enumerate(appended):
-        a[len(active) + k, ncols - len(appended) + k] = (
-            1.0 if sense[i] == milp._SENSE_LE else -1.0
-        )
+        a[r, nstruct + r] = -1.0 if store.sense[i] == milp._SENSE_GE else 1.0
     return a
 
 
@@ -779,25 +748,13 @@ def test_sparse_products_and_columns_match_a_dense_matrix(seed):
     assert_kernels_match(simplex, reference_matrix(store, active, [], n), rng)
     # Rows appended later, as lazy activation appends them.
     extra = [
-        LinearConstraint(random_terms(rng, vs), rng.choice(("<=", ">=")), 1.0, "added")
+        LinearConstraint(random_terms(rng, vs), rng.choice(("<=", ">=", "=")), 1.0, "added")
         for _ in range(rng.randint(1, 4))
     ]
     store.extend(extra)
     appended = list(range(len(rows), len(rows) + len(extra)))
     simplex.add_rows(np.array(appended))
     assert_kernels_match(simplex, reference_matrix(store, active, appended, n), rng)
-
-
-def count_phase_ones(monkeypatch):
-    calls = []
-    phase = milp._Simplex._phase
-
-    def recorded(simplex, c, phase1):
-        calls.append(phase1)
-        return phase(simplex, c, phase1)
-
-    monkeypatch.setattr(milp._Simplex, "_phase", recorded)
-    return calls
 
 
 def test_columns_no_row_touches_start_at_their_cheaper_bound():
@@ -815,26 +772,17 @@ def test_columns_no_row_touches_start_at_their_cheaper_bound():
     assert out.iterations == 1
 
 
-def test_phase_one_runs_only_from_an_infeasible_crash(monkeypatch):
+def test_an_infeasible_crash_starts_the_dual_simplex_from_the_slack_basis():
     inst = framed_instance()
     variables, costs = master_variables(inst)
     flow = list(build_initial_constraints(inst))
     # Stage 1's master starts from its flow rows alone.  Each row has a
     # column no other row touches (s->v in v's in-row, v->t in its out-row),
-    # so the crash needs no artificial.
+    # so the crash basis is all structural.
     interval = interval_instance()
     interval_vars, interval_costs = master_variables(interval)
     interval_rows = list(build_initial_constraints(interval))
     assert {row.sense for row in interval_rows} == {"="}
-    n = len(interval_vars)
-    crash = milp._Simplex(
-        np.asarray(interval_costs),
-        milp._row_store(interval_vars, interval_rows),
-        np.zeros(n),
-        np.ones(n),
-    )
-    assert crash.m == len(interval_rows)
-    assert crash.ncols == crash.art_start  # no artificial column
     a, b, c = handles(3)
     infeasible_crash = [
         LinearConstraint(((a, 1.0), (b, 1.0)), ">=", 1.0, "t"),
@@ -842,16 +790,24 @@ def test_phase_one_runs_only_from_an_infeasible_crash(monkeypatch):
         LinearConstraint(((a, 1.0), (c, -1.0)), "<=", 0.5, "t"),
     ]
     cases = [
-        (variables, costs, flow, 0),  # every flow row holds at x = 0
-        (interval_vars, interval_costs, interval_rows, 0),
-        ([a, b, c], [1.0, -1.0, 2.0], infeasible_crash, 1),
+        (variables, costs, flow, "feasible"),  # every flow row holds at x = 0
+        (interval_vars, interval_costs, interval_rows, "structural"),
+        ([a, b, c], [1.0, -1.0, 2.0], infeasible_crash, "slack"),
     ]
-    for vs, objective, rows, phase_ones in cases:
-        with monkeypatch.context() as patch:
-            calls = count_phase_ones(patch)
-            mine = solve_lp(vs, objective, rows)
-        assert calls.count(True) == phase_ones
-        assert mine.status == "optimal"
-        ref = oracles.lp_reference(vs, objective, rows)
+    for vs, objective, rows, start in cases:
+        n = len(vs)
+        objective = np.asarray(objective)
+        lp = milp._Simplex(objective, milp._row_store(vs, rows), np.zeros(n), np.ones(n))
+        lo, up = lp.lo[lp.basis], lp.up[lp.basis]
+        feasible = bool(((lo <= lp.xB) & (lp.xB <= up)).all())
+        assert feasible == (start != "slack")
+        if start == "structural":
+            assert lp.m == len(rows) and (lp.basis < n).all()
+        if start == "slack":
+            # Dual feasible: each structural sits at its cheaper bound.
+            assert lp.basis.tolist() == list(range(n, n + lp.m))
+            assert lp.x[:n].tolist() == np.where(objective < 0, 1.0, 0.0).tolist()
+        assert lp.solve() == "optimal"
+        ref = oracles.lp_reference(vs, objective.tolist(), rows)
         assert ref.status == 0
-        assert mine.objective == pytest.approx(ref.fun, abs=1e-9)
+        assert float(objective @ lp.structural_values()) == pytest.approx(ref.fun, abs=1e-9)
