@@ -66,7 +66,6 @@ from .reductions import (
 )
 from .separation import (
     SeparationReport,
-    extract_path,
     separate_lifted_cut,
     separate_lifted_path,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "SeparationReport",
     "separate_lifted_path",
     "separate_lifted_cut",
-    "extract_path",
     # solver
     "SolverConfig",
     "RoundStats",

@@ -74,11 +74,6 @@ def _build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--rounds", type=int, default=200, help="cutting-plane round cap")
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
-    p.add_argument(
-        "--no-symmetric",
-        action="store_true",
-        help="separate only along the tail's path, not the head's",
-    )
     p.add_argument("--trace", action="store_true", help="log per-round progress")
     p.add_argument("-o", "--output", default=None)
 
@@ -124,11 +119,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_solve(args) -> int:
     instance = parse_instance(_read(args.instance))
-    config = SolverConfig(
-        max_rounds=args.rounds,
-        time_limit=args.time_limit,
-        include_symmetric=not args.no_symmetric,
-    )
+    config = SolverConfig(max_rounds=args.rounds, time_limit=args.time_limit)
     result = solve(instance, config)
     if args.trace:
         for row in result.trace:

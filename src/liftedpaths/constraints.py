@@ -30,6 +30,7 @@ from .milp import (
 __all__ = [
     "PathWitness",
     "SolutionValues",
+    "witness_from_base_path",
     "node_var",
     "base_var",
     "lift_var",

@@ -45,7 +45,7 @@ from .constraints import (
     lift_var,
     node_var,
 )
-from .instance import _LABELS, SINK, FlowSolution, Instance
+from .instance import _LABELS, SINK, FlowSolution, Instance, evaluate_objective
 from .milp import (
     LinearConstraint,
     MilpError,
@@ -77,9 +77,6 @@ class SolverConfig:
 
     `max_rounds` caps the master-separate rounds; reaching it before a
     round certifies ends the run with `round_limit` (0 solves no master).
-    `include_symmetric` makes separation emit, beside each cut along the
-    lifted tail's path, the mirrored cut along the lifted head's path;
-    turned off, the solve stays exact.
     `node_limit` caps the LPs of each round's master call, re-solves of
     nodes that new rows cut off included; exhausting it ends the run with
     `round_limit`.
@@ -90,7 +87,6 @@ class SolverConfig:
 
     max_rounds: int = 200
     time_limit: float | None = None
-    include_symmetric: bool = True
     node_limit: int | None = None
 
     def __post_init__(self):
@@ -215,13 +211,12 @@ def _initial_rows(instance: Instance) -> Iterator[LinearConstraint]:
                 yield build_path_inequality(instance, li, (v, mid, w))
 
 
-def certify(
-    instance: Instance, solution: FlowSolution, include_symmetric: bool = True
-) -> list[LinearConstraint]:
-    """Violated inequalities at an integral solution; empty means the lifted
-    labels match the connectivity realized by the flow."""
+def certify(instance: Instance, solution: FlowSolution) -> list[LinearConstraint]:
+    """Violated inequalities at an integral solution, mirrored cuts
+    included; empty means the lifted labels match the connectivity realized
+    by the flow."""
     rep_path = separate_lifted_path(instance, solution)
-    rep_cut = separate_lifted_cut(instance, solution, include_symmetric)
+    rep_cut = separate_lifted_cut(instance, solution)
     return rep_path.constraints + rep_cut.constraints
 
 
@@ -232,27 +227,18 @@ def _solution_from_values(instance: Instance, values) -> FlowSolution:
     x = (_LABELS[0], *labels[:n])
     y = tuple(labels[n : n + m])
     yl = tuple(labels[n + m : n + m + len(instance.lifted_edges)])
-    objective = math.fsum(
-        (
-            math.fsum(c * xi for c, xi in zip(instance.node_costs[1:], x[1:])),
-            math.fsum(e[2] * yi for e, yi in zip(instance.base_edges, y)),
-            math.fsum(e[2] * yi for e, yi in zip(instance.lifted_edges, yl)),
-        )
-    )
-    return FlowSolution(x=x, y=y, y_lifted=yl, objective=objective)
+    sol = FlowSolution(x=x, y=y, y_lifted=yl, objective=0.0)
+    return FlowSolution(x=x, y=y, y_lifted=yl, objective=evaluate_objective(instance, sol))
 
 
 def solve(
     instance: Instance,
     config: SolverConfig | None = None,
-    initial_cuts: Sequence[LinearConstraint] = (),
     *,
     cutoff: float | None = None,
 ) -> SolveResult:
     """Run the cutting-plane loop to optimality (or a configured limit).
 
-    `initial_cuts` seeds the pool with extra rows, e.g. the final pool of a
-    previous run; re-solving with that pool certifies in one round.
     With a `cutoff`, a master whose bound proves that every solution costs
     more than the cutoff ends the run with status `cutoff` (each master is
     a relaxation); the last completed round's solution is kept, as on a
@@ -266,11 +252,8 @@ def solve(
     pool = build_initial_constraints(instance, variables)
     # The initial rows are distinct, and the master satisfies every pool row,
     # so a separated row can only repeat another separated row: only those
-    # are keyed, unless extra rows must be checked against the pool.
+    # are keyed.
     seen: set = set()
-    if initial_cuts:
-        seen = {row.key() for row in pool}
-        pool.extend(_unseen(initial_cuts, seen))
 
     trace: list[RoundStats] = []
     best: FlowSolution | None = None
@@ -312,7 +295,7 @@ def solve(
         prev_objective = best.objective
 
         rep_path = separate_lifted_path(instance, best)
-        rep_cut = separate_lifted_cut(instance, best, config.include_symmetric)
+        rep_cut = separate_lifted_cut(instance, best)
         found = rep_path.constraints + rep_cut.constraints
         fresh = _unseen(found, seen)
         pool.extend(fresh)

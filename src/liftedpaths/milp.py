@@ -319,14 +319,14 @@ class _Simplex:
     It starts from the crash basis (slacks, and singletons for equality
     rows) when that is feasible, else from the dual-feasible slack basis.
     `restore` (a stored basis under new structural bounds) and `add_rows`
-    keep the basis dual feasible.  `solve` and `reoptimise` both run dual
-    pivots until the basis is primal feasible, then primal pivots until it
-    is optimal.  `_phase` carries the duals pi and `_dual` the reduced costs
-    d from pivot to pivot, and both recompute them after each refactor;
-    `_phase` also recomputes pi before it reports an optimum.  Past
-    `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
-    active; `solve` and `reoptimise` both append the pending rows the vertex
-    violates and reoptimise until none is.  The LP matrix is the entries
+    keep the basis dual feasible.  `reoptimise`, from the start or after
+    either, runs dual pivots until the basis is primal feasible, then primal
+    pivots until it is optimal.  `_phase` carries the duals pi and `_dual`
+    the reduced costs d from pivot to pivot, and both recompute them after
+    each refactor; `_phase` also recomputes pi before it reports an optimum.
+    Past `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
+    active; `reoptimise` appends the pending rows the vertex violates and
+    reoptimises until none is.  The LP matrix is the entries
     (`a_row`, `a_col`, `a_val`) in LP row and column numbering, sorted by
     column, with column j's entries at `a_ptr[j]:a_ptr[j + 1]`.  A repeated
     entry adds up.  `add_rows` merges the appended rows' entries in.
@@ -607,10 +607,6 @@ class _Simplex:
         `add_rows`, then activate violated rows."""
         return self._activate(self._reoptimise())
 
-    # From the start: a feasible crash makes no dual pivot, and the slack
-    # start is dual feasible.
-    solve = reoptimise
-
     def _reoptimise(self) -> str:
         self.iterations = 0
         self.degenerate = 0
@@ -760,7 +756,7 @@ def solve_lp(
     if (~rows.nonempty & rows.violated(np.zeros(n))).any():
         return LpResult("infeasible", None, None)
     simplex = _Simplex(c, rows, lo, up, iteration_limit)
-    status = simplex.solve()
+    status = simplex.reoptimise()
     if status != "optimal":
         return LpResult(status, None, None, simplex.pivots)
     vals = simplex.structural_values()
@@ -819,11 +815,9 @@ class _Search:
                     return BinaryResult(stopped, None, None, nodes, bound, lp.pivots - pivots, self)
                 heapq.heappop(heap)
                 nodes += 1
-                if basis is None:
-                    status = lp.solve()
-                else:
+                if basis is not None:
                     lp.restore(basis, lo, up)
-                    status = lp.reoptimise()
+                status = lp.reoptimise()
                 if status == "infeasible":
                     continue
                 if status != "optimal":

@@ -34,6 +34,7 @@ from .instance import (
     SOURCE,
     Instance,
     InstanceFormatError,
+    InstanceValidationError,
     Reachability,
     active_st_paths,
     solution_from_paths,
@@ -289,34 +290,15 @@ class McfProblem:
                 raise ReductionError(f"duplicate edge {u}->{v}")
             seen.add((u, v))
             nodes.update((u, v))
-        adj: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, []).append(v)
-        state: dict[int, int] = {}
-
-        def cyclic(start: int) -> bool:
-            stack = [(start, iter(adj.get(start, ())))]
-            state[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    mark = state.get(nxt)
-                    if mark == 1:
-                        return True
-                    if mark is None:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(adj.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
-            return False
-
-        for n in sorted(nodes):
-            if state.get(n) is None and cyclic(n):
-                raise ReductionError("network contains a directed cycle")
+        # Number the nodes 1..k; a reachability row raises on any cycle
+        # through the node it is computed for.
+        ids = {v: i for i, v in enumerate(sorted(nodes), start=1)}
+        reach = Reachability(len(ids), [(ids[u], ids[v], 0.0) for u, v in self.edges])
+        try:
+            for i in ids.values():
+                reach.row(i)
+        except InstanceValidationError:
+            raise ReductionError("network contains a directed cycle") from None
         for s, t, demand in self.commodities:
             if s == t:
                 raise ReductionError(f"commodity with equal endpoints {s}")

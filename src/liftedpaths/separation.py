@@ -8,8 +8,8 @@ the flow actually realizes:
     endpoints lie on one active path in order.  Emits one lifted path
     inequality per offending edge, violated by exactly 1.
   * `separate_lifted_cut`    — labels that are 1 but should be 0.  Emits one
-    (possibly strengthened, possibly mirrored) path-induced cut per
-    offending edge, violated by exactly 1.
+    (possibly strengthened) path-induced cut per offending edge and its
+    mirrored cut, each violated by exactly 1.
 
 Both run in one scan over the active paths plus one scan over the lifted
 edges; witness construction only reuses the indexes built during those scans,
@@ -35,34 +35,26 @@ from .constraints import (
 from .instance import FlowSolution, Instance, active_st_paths
 from .milp import LinearConstraint
 
-__all__ = ["SeparationReport", "separate_lifted_path", "separate_lifted_cut", "extract_path"]
+__all__ = ["SeparationReport", "separate_lifted_path", "separate_lifted_cut"]
 
 
 @dataclass
 class SeparationReport:
-    """Constraints found by one separation call, plus scan accounting."""
+    """Constraints found by one separation call, and the items its scans
+    inspected: (active base edges) + (lifted edges)."""
 
     constraints: list[LinearConstraint] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
-    paths_scanned: int = 0
-    path_edges_scanned: int = 0
-    lifted_edges_inspected: int = 0
-
-    @property
-    def items_inspected(self) -> int:
-        return self.path_edges_scanned + self.lifted_edges_inspected
-
-    def _add(self, constraint: LinearConstraint) -> None:
-        self.constraints.append(constraint)
-        self.counts[constraint.tag] = self.counts.get(constraint.tag, 0) + 1
+    items_inspected: int = 0
 
 
 class _PathIndex:
-    """Shared per-call indexes: node positions and active lifted shortcuts."""
+    """Shared per-call indexes, filled in one pass over the lifted edges:
+    node positions, active same-path shortcuts, inactive lifted edges by
+    head and by tail, and the two candidate lists `ones` (labeled 1, not
+    connected) and `zeros_same_path` (labeled 0, connected in order)."""
 
     def __init__(self, instance: Instance, solution: FlowSolution):
         self.instance = instance
-        self.solution = solution
         self.paths = active_st_paths(instance, solution)
         self.where: dict[int, tuple[int, int]] = {}
         for pid, path in enumerate(self.paths):
@@ -75,39 +67,26 @@ class _PathIndex:
         # strengthened-cut searches.
         self.zeros_in: dict[int, list[tuple[int, int]]] = {}
         self.zeros_out: dict[int, list[tuple[int, int]]] = {}
-
-    def note_shortcut(self, pid: int, head: int, pos_tail: int, tail: int, li: int) -> None:
-        insort(self.shortcuts.setdefault((pid, head), []), (pos_tail, tail, li))
-
-    def edge_count(self) -> int:
-        # Every active path contributes len(path)+1 active base edges.
-        return sum(len(p) + 1 for p in self.paths)
-
-
-def _classify(index: _PathIndex, report: SeparationReport):
-    """One pass over the lifted edges; fills the index and the candidates."""
-    inst = index.instance
-    labels = index.solution.y_lifted
-    where = index.where
-    ones: list[tuple[int, int, int]] = []  # (li, u, v) labeled 1
-    zeros_same_path: list[tuple[int, int, int]] = []  # candidates for the path side
-    for li, (u, v, _) in enumerate(inst.lifted_edges):
-        report.lifted_edges_inspected += 1
-        label = labels[li]
-        lu = where.get(u)
-        lv = where.get(v)
-        connected = lu is not None and lv is not None and lu[0] == lv[0] and lu[1] < lv[1]
-        if label:
-            if connected:
-                index.note_shortcut(lu[0], v, lu[1], u, li)
+        self.ones: list[tuple[int, int, int]] = []  # (li, u, v)
+        self.zeros_same_path: list[tuple[int, int, int]] = []
+        where = self.where
+        labels = solution.y_lifted
+        for li, (u, v, _) in enumerate(instance.lifted_edges):
+            lu = where.get(u)
+            lv = where.get(v)
+            connected = lu is not None and lv is not None and lu[0] == lv[0] and lu[1] < lv[1]
+            if labels[li]:
+                if connected:
+                    insort(self.shortcuts.setdefault((lu[0], v), []), (lu[1], u, li))
+                else:
+                    self.ones.append((li, u, v))
             else:
-                ones.append((li, u, v))
-        else:
-            if connected:
-                zeros_same_path.append((li, u, v))
-            index.zeros_in.setdefault(v, []).append((u, li))
-            index.zeros_out.setdefault(u, []).append((v, li))
-    return ones, zeros_same_path
+                if connected:
+                    self.zeros_same_path.append((li, u, v))
+                self.zeros_in.setdefault(v, []).append((u, li))
+                self.zeros_out.setdefault(u, []).append((v, li))
+        # Every active path contributes len(path)+1 active base edges.
+        self.items_inspected = sum(len(p) + 1 for p in self.paths) + len(instance.lifted_edges)
 
 
 def _extract(
@@ -147,61 +126,40 @@ def _extract(
     )
 
 
-def extract_path(
-    instance: Instance, solution: FlowSolution, v: int, w: int
-) -> PathWitness:
-    """Public witness extraction for endpoints on one active path."""
-    index = _PathIndex(instance, solution)
-    dummy = SeparationReport()
-    _classify(index, dummy)
-    lv, lw = index.where.get(v), index.where.get(w)
-    if lv is None or lw is None or lv[0] != lw[0] or lv[1] >= lw[1]:
-        raise ValueError(f"{v} and {w} are not in order on one active path")
-    return _extract(index, lv[0], v, w)
-
-
 def separate_lifted_path(
     instance: Instance, solution: FlowSolution
 ) -> SeparationReport:
     """Violated lifted path inequalities: labels stuck at 0 across a path."""
-    report = SeparationReport()
     index = _PathIndex(instance, solution)
-    report.paths_scanned = len(index.paths)
-    report.path_edges_scanned = index.edge_count()
-    _, zeros_same_path = _classify(index, report)
+    report = SeparationReport(items_inspected=index.items_inspected)
     values = SolutionValues(instance, solution)
-    for li, u, v in zeros_same_path:
+    for li, u, v in index.zeros_same_path:
         pid = index.where[u][0]
         witness = _extract(index, pid, u, v)
         con = build_lifted_path_inequality(instance, li, witness)
         violation = check_violation(con, values)
         assert violation > 0, f"unviolated separation output: {con.format()}"
-        report._add(con)
+        report.constraints.append(con)
     return report
 
 
 def separate_lifted_cut(
-    instance: Instance,
-    solution: FlowSolution,
-    include_symmetric: bool = True,
+    instance: Instance, solution: FlowSolution
 ) -> SeparationReport:
     """Violated cuts: labels stuck at 1 that the flow does not realize.
 
     For each offending lifted edge (v, w) with v on an active path, one cut is
     emitted along that path (strengthened to reuse a 0-labeled lifted edge
-    (u, w) when one exists — the latest such u wins).  With
-    `include_symmetric`, a mirrored cut along w's path is emitted as well
-    (earliest 0-labeled (v, u); mirror-image fallback otherwise).
+    (u, w) when one exists — the latest such u wins).  A mirrored cut along
+    w's path is emitted as well (earliest 0-labeled (v, u); mirror-image
+    fallback otherwise).
     """
-    report = SeparationReport()
     index = _PathIndex(instance, solution)
-    report.paths_scanned = len(index.paths)
-    report.path_edges_scanned = index.edge_count()
-    ones, _ = _classify(index, report)
+    report = SeparationReport(items_inspected=index.items_inspected)
     values = SolutionValues(instance, solution)
     reach = instance.reachability
 
-    for li, v, w in ones:
+    for li, v, w in index.ones:
         lv = index.where.get(v)
         lw = index.where.get(w)
         if lv is not None:
@@ -231,15 +189,13 @@ def separate_lifted_cut(
                 )
             violation = check_violation(con, values)
             assert violation > 0, f"unviolated separation output: {con.format()}"
-            report._add(con)
+            report.constraints.append(con)
         else:
             # v carries no flow at all: the plain out-cut is already violated.
             con = build_single_node_cut(instance, reach, li, "out_of_v")
             assert check_violation(con, values) > 0
-            report._add(con)
+            report.constraints.append(con)
 
-        if not include_symmetric:
-            continue
         if lw is not None:
             qid, pos_w = lw
             path = index.paths[qid]
@@ -261,10 +217,10 @@ def separate_lifted_cut(
                 con = build_symmetric_cut(instance, reach, li, witness, variant="lifted")
             violation = check_violation(con, values)
             assert violation > 0, f"unviolated separation output: {con.format()}"
-            report._add(con)
+            report.constraints.append(con)
         elif lv is not None:
             # w carries no flow: mirror single-node cut.
             con = build_single_node_cut(instance, reach, li, "into_w")
             assert check_violation(con, values) > 0
-            report._add(con)
+            report.constraints.append(con)
     return report

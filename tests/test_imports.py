@@ -1,8 +1,12 @@
-"""The package needs NumPy only; SciPy is left to the test oracles."""
+"""The package needs NumPy only; SciPy is left to the test oracles.  Its
+export lists name only what exists."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +28,23 @@ def test_package_and_cli_import_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves_and_re_exports_are_listed():
+    """Every name in `liftedpaths.__all__` and in each submodule's `__all__`
+    resolves, and each name the package re-exports from a submodule with an
+    `__all__` is listed there."""
+    submodules = {
+        info.name: importlib.import_module(f"liftedpaths.{info.name}")
+        for info in pkgutil.iter_modules(liftedpaths.__path__)
+    }
+    for module in (liftedpaths, *submodules.values()):
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing {missing}"
+    tree = ast.parse(Path(liftedpaths.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            listed = getattr(submodules[node.module], "__all__", None)
+            if listed is not None:
+                unlisted = [a.name for a in node.names if a.name not in listed]
+                assert not unlisted, f"liftedpaths.{node.module}.__all__ lacks {unlisted}"

@@ -301,7 +301,7 @@ def test_restore_keeps_the_inverse_of_the_live_basis_alone(seed):
     vs, objective, rows = parity_program(random.Random(seed))
     n = len(vs)
     lp = milp._Simplex(np.asarray(objective), milp._row_store(vs, rows), np.zeros(n), np.ones(n))
-    assume(lp.solve() == "optimal")
+    assume(lp.reoptimise() == "optimal")
     root, vals = lp.snapshot(), lp.structural_values()
     j = int(np.argmax(np.abs(vals - np.round(vals))))
     for fixed in (0.0, 1.0):  # the second child's basis is the first's optimum
@@ -371,7 +371,7 @@ def test_carried_duals_and_reduced_costs_price_like_exact_ones(seed):
         patch.setattr(milp._Simplex, "_pivot", checked_pivot)
         mine = solve_binary(vs, objective, rows)
         lp = milp._Simplex(box_objective, milp._row_store(box, box_rows), np.zeros(n), np.ones(n))
-        if lp.solve() == "optimal":
+        if lp.reoptimise() == "optimal":
             root = lp.snapshot()
             for _ in range(8):
                 lo, up = np.zeros(n), np.ones(n)
@@ -528,7 +528,9 @@ def test_limits_inside_a_resumed_call_report_a_bound_below_the_fresh_optimum():
 
 
 class SimplexLog:
-    """Counts LP builds, reoptimisation outcomes and row activations."""
+    """Counts LP builds, the outcomes of the children's reoptimisations (a
+    child's LP is restored from its parent's basis first) and row
+    activations."""
 
     def __init__(self, monkeypatch):
         self.built = 0
@@ -536,8 +538,10 @@ class SimplexLog:
         self.added: list[int] = []  # store indices of the activated rows
         self.added_in_children = 0
         self.in_child = False
-        init, reoptimise, add_rows = (
+        self.restored = False
+        init, restore, reoptimise, add_rows = (
             milp._Simplex.__init__,
+            milp._Simplex.restore,
             milp._Simplex.reoptimise,
             milp._Simplex.add_rows,
         )
@@ -546,13 +550,19 @@ class SimplexLog:
             self.built += 1
             init(simplex, *args, **kwargs)
 
+        def marked_restore(simplex, *args, **kwargs):
+            self.restored = True
+            restore(simplex, *args, **kwargs)
+
         def logged_reoptimise(simplex):
-            self.in_child = True
+            child, self.restored = self.restored, False
+            self.in_child = child
             try:
                 status = reoptimise(simplex)
             finally:
                 self.in_child = False
-            self.reoptimised.append(status)
+            if child:
+                self.reoptimised.append(status)
             return status
 
         def logged_add_rows(simplex, indices):
@@ -561,6 +571,7 @@ class SimplexLog:
             add_rows(simplex, indices)
 
         monkeypatch.setattr(milp._Simplex, "__init__", counted_init)
+        monkeypatch.setattr(milp._Simplex, "restore", marked_restore)
         monkeypatch.setattr(milp._Simplex, "reoptimise", logged_reoptimise)
         monkeypatch.setattr(milp._Simplex, "add_rows", logged_add_rows)
 
@@ -807,7 +818,7 @@ def test_an_infeasible_crash_starts_the_dual_simplex_from_the_slack_basis():
             # Dual feasible: each structural sits at its cheaper bound.
             assert lp.basis.tolist() == list(range(n, n + lp.m))
             assert lp.x[:n].tolist() == np.where(objective < 0, 1.0, 0.0).tolist()
-        assert lp.solve() == "optimal"
+        assert lp.reoptimise() == "optimal"
         ref = oracles.lp_reference(vs, objective.tolist(), rows)
         assert ref.status == 0
         assert float(objective @ lp.structural_values()) == pytest.approx(ref.fun, abs=1e-9)

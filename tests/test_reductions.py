@@ -121,6 +121,9 @@ def test_direct_arcs_and_cycles_are_rejected():
         McfProblem(edges=((1, 2),), commodities=((1, 2, 1),))
     with pytest.raises(ReductionError, match="directed cycle"):
         McfProblem(edges=((1, 3), (3, 1), (3, 2)), commodities=((1, 2, 1),))
+    with pytest.raises(ReductionError, match="directed cycle"):
+        # No commodity source reaches the cycle 4 -> 5 -> 4.
+        McfProblem(edges=((1, 3), (3, 2), (4, 5), (5, 4)), commodities=((1, 2, 1),))
 
 
 @settings(max_examples=30, deadline=None)
