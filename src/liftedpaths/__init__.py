@@ -17,8 +17,6 @@ from .constraints import (
     build_lifted_path_induced_cut,
     build_lifted_path_inequality,
     build_multicut_path_inequality,
-    build_path_induced_cut,
-    build_path_inequality,
     build_single_node_cut,
     build_symmetric_cut,
     check_violation,
@@ -117,9 +115,7 @@ __all__ = [
     "check_violation",
     "build_flow_conservation",
     "build_single_node_cut",
-    "build_path_inequality",
     "build_multicut_path_inequality",
-    "build_path_induced_cut",
     "build_lifted_path_inequality",
     "build_lifted_path_induced_cut",
     "build_symmetric_cut",

@@ -23,8 +23,6 @@ from .constraints import (
     build_lifted_path_induced_cut,
     build_lifted_path_inequality,
     build_multicut_path_inequality,
-    build_path_induced_cut,
-    build_path_inequality,
     build_single_node_cut,
     build_symmetric_cut,
 )
@@ -58,66 +56,33 @@ class BudgetError(RuntimeError):
 
 
 def _walks(
-    instance: Instance,
-    start: int,
-    *,
-    mixed: bool,
-    max_nodes: int,
-    budget: list[int],
-    backward: bool = False,
+    instance: Instance, start: int, *, mixed: bool, max_nodes: int, backward: bool
 ) -> Iterator[PathWitness]:
     """Every loop-free walk from `start` (or into it, with `backward`) of at
     most `max_nodes` nodes, over base edges plus — when `mixed` — lifted
     shortcuts.  Yields shorter walks before their extensions."""
-
-    def steps_from(node: int):
-        if backward:
-            for e, k in instance.in_edges.get(node, ()):
-                if k != SOURCE:
-                    yield ("b", e), k
-            if mixed:
-                for li, k in instance.lifted_in.get(node, ()):
-                    yield ("l", li), k
-        else:
-            for e, k in instance.out_edges.get(node, ()):
-                if k != SINK:
-                    yield ("b", e), k
-            if mixed:
-                for li, k in instance.lifted_out.get(node, ()):
-                    yield ("l", li), k
-
+    base_adj = instance.in_edges if backward else instance.out_edges
+    lift_adj = instance.lifted_in if backward else instance.lifted_out
+    terminal = SOURCE if backward else SINK
     nodes = [start]
-    on_walk = {start}
     base_steps: list[int] = []
     lift_steps: list[int] = []
 
-    def emit() -> PathWitness:
-        if backward:
-            return PathWitness(
-                tuple(reversed(nodes)),
-                tuple(reversed(base_steps)),
-                tuple(reversed(lift_steps)),
-            )
-        return PathWitness(tuple(nodes), tuple(base_steps), tuple(lift_steps))
-
     def rec() -> Iterator[PathWitness]:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetError(
-                f"family enumeration exceeded {_INSTANTIATION_BUDGET} instantiations"
-            )
-        yield emit()
+        walk = (tuple(nodes), tuple(base_steps), tuple(lift_steps))
+        yield PathWitness(*(part[::-1] for part in walk)) if backward else PathWitness(*walk)
         if len(nodes) == max_nodes:
             return
-        for (kind, idx), k in steps_from(nodes[-1]):
-            if k in on_walk:
+        steps = [(base_steps, e, k) for e, k in base_adj[nodes[-1]] if k != terminal]
+        if mixed:
+            steps += [(lift_steps, li, k) for li, k in lift_adj.get(nodes[-1], ())]
+        for taken, idx, k in steps:
+            if k in nodes:
                 continue
             nodes.append(k)
-            on_walk.add(k)
-            (base_steps if kind == "b" else lift_steps).append(idx)
+            taken.append(idx)
             yield from rec()
-            (base_steps if kind == "b" else lift_steps).pop()
-            on_walk.discard(k)
+            taken.pop()
             nodes.pop()
 
     yield from rec()
@@ -133,7 +98,9 @@ def enumerate_family(
 
     Rows are deduplicated by content.  Families without witnesses ('flow',
     'single-cut', 'lifted-flow') ignore the length cap; 'lifted-flow' is
-    empty for instances without frame annotations.
+    empty for instances without frame annotations.  The witness families
+    walk every witness before building a row, so an enumeration that runs
+    out of budget builds none.
     """
     if family not in ALL_FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {ALL_FAMILIES}")
@@ -152,78 +119,57 @@ def enumerate_family(
         if instance.frames is not None:
             rows.extend(build_lifted_flow_inequalities(instance))
     else:
-        budget = [_INSTANTIATION_BUDGET]
-        for li, (v, w, _) in enumerate(instance.lifted_edges):
-            if family in ("path", "multicut-path", "lifted-path"):
-                mixed = family == "lifted-path"
-                for wit in _walks(
-                    instance, v, mixed=mixed, max_nodes=max_path_len, budget=budget
-                ):
-                    if len(wit.nodes) < 2 or wit.nodes[-1] != w:
-                        continue
-                    if family == "path":
-                        rows.append(build_path_inequality(instance, li, wit.nodes))
-                    elif family == "multicut-path":
-                        rows.append(
-                            build_multicut_path_inequality(instance, li, wit.nodes)
-                        )
-                    else:
-                        rows.append(build_lifted_path_inequality(instance, li, wit))
-            elif family in ("path-cut", "lifted-path-cut", "lifted-path-cut-strong"):
-                mixed = family != "path-cut"
-                for wit in _walks(
-                    instance, v, mixed=mixed, max_nodes=max_path_len, budget=budget
-                ):
-                    u = wit.nodes[-1]
-                    if w in wit.node_set:
-                        continue
-                    if family == "lifted-path-cut-strong":
-                        if (u, w) not in instance.lifted_index:
-                            continue
-                        rows.append(
-                            build_lifted_path_induced_cut(
-                                instance, reach, li, wit, strengthened=True
-                            )
-                        )
-                    elif u != w and reach.reaches(u, w):
-                        if family == "path-cut":
-                            rows.append(
-                                build_path_induced_cut(instance, reach, li, wit.nodes)
-                            )
-                        else:
-                            rows.append(
-                                build_lifted_path_induced_cut(
-                                    instance, reach, li, wit, strengthened=False
-                                )
-                            )
-            else:  # the symmetric families walk backward from the lifted head
-                mixed = family != "sym-path-cut"
-                for wit in _walks(
-                    instance,
-                    w,
-                    mixed=mixed,
-                    max_nodes=max_path_len,
-                    budget=budget,
-                    backward=True,
-                ):
-                    u = wit.nodes[0]
-                    if v in wit.node_set:
-                        continue
-                    if family == "sym-lifted-path-cut-strong":
-                        if (v, u) not in instance.lifted_index:
-                            continue
-                        rows.append(
-                            build_symmetric_cut(
-                                instance, reach, li, wit, variant="strengthened"
-                            )
-                        )
-                    elif u != v and reach.reaches(v, u):
-                        variant = "plain" if family == "sym-path-cut" else "lifted"
-                        rows.append(
-                            build_symmetric_cut(instance, reach, li, wit, variant=variant)
-                        )
+        strong = family.endswith("-strong")
+        for li, wit in _family_witnesses(instance, reach, family, max_path_len):
+            if family in ("path", "lifted-path"):
+                rows.append(build_lifted_path_inequality(instance, li, wit))
+            elif family == "multicut-path":
+                rows.append(build_multicut_path_inequality(instance, li, wit))
+            elif family.startswith("sym-"):
+                rows.append(build_symmetric_cut(instance, reach, li, wit, strong))
+            else:
+                rows.append(build_lifted_path_induced_cut(instance, reach, li, wit, strong))
 
     return _unseen(rows, set())
+
+
+def _family_witnesses(
+    instance: Instance, reach: Reachability, family: str, max_path_len: int
+) -> list[tuple[int, PathWitness]]:
+    """Every (lifted edge, witness) pair a witness family instantiates.
+
+    The 'lifted' families walk over base edges and lifted shortcuts, the
+    others over base edges only.  For a lifted edge (v, w), path families
+    take v-w witnesses, cut families v-u witnesses avoiding w, and mirrored
+    ('sym-') families u-w witnesses avoiding v, walked backward from w.  A
+    cut needs u to reach w (v to reach u), or, strengthened, the lifted edge
+    (u, w) ((v, u)).  Every walk counts against the budget.
+    """
+    mirrored = family.startswith("sym-")
+    strengthened = family.endswith("-strong")
+    walks = 0
+    pairs: list[tuple[int, PathWitness]] = []
+    for li, (v, w, _) in enumerate(instance.lifted_edges):
+        start, avoid = (w, v) if mirrored else (v, w)
+        for wit in _walks(
+            instance, start, mixed="lifted" in family, max_nodes=max_path_len, backward=mirrored
+        ):
+            walks += 1
+            if walks > _INSTANTIATION_BUDGET:
+                raise BudgetError(
+                    f"family enumeration exceeded {_INSTANTIATION_BUDGET} instantiations"
+                )
+            u = wit.nodes[0] if mirrored else wit.nodes[-1]
+            if family in ("path", "lifted-path", "multicut-path"):
+                keep = u == w
+            else:
+                pair = (v, u) if mirrored else (u, w)
+                keep = avoid not in wit.node_set and (
+                    pair in instance.lifted_index if strengthened else reach.reaches(*pair)
+                )
+            if keep:
+                pairs.append((li, wit))
+    return pairs
 
 
 def lp_bound(

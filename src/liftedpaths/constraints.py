@@ -7,9 +7,12 @@ Variable handles:
 
 Every family is stated for a lifted edge (v, w).  Lower-bound families force
 the label on when flow connects v to w; upper-bound (cut) families force it
-off when flow provably cannot connect them.  The lifted variants extend a
-witness path with already-labeled lifted edges as shortcuts, which is what
-makes the separation of integral points exact.
+off when flow provably cannot connect them.  Each inequality shape has one
+builder, which takes a `PathWitness`: a witness may take already-labeled
+lifted edges as shortcuts, which is what makes the separation of integral
+points exact, and a witness with none gives the plain inequality.  A row's
+tag names its builder; the families of `bounds` name which witnesses they
+enumerate, so the plain and lifted families share tags.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .instance import SINK, SOURCE, FlowSolution, Instance, Reachability
+from .instance import SOURCE, FlowSolution, Instance, Reachability
 from .milp import (
     KIND_BASE,
     KIND_LIFT,
@@ -36,8 +39,6 @@ __all__ = [
     "lift_var",
     "build_flow_conservation",
     "build_single_node_cut",
-    "build_path_inequality",
-    "build_path_induced_cut",
     "build_lifted_path_inequality",
     "build_lifted_path_induced_cut",
     "build_symmetric_cut",
@@ -47,12 +48,9 @@ __all__ = [
     "TAG_FLOW",
     "TAG_CUT_OUT",
     "TAG_CUT_IN",
-    "TAG_PATH",
-    "TAG_PATH_CUT",
     "TAG_LIFTED_PATH",
     "TAG_LIFTED_PATH_CUT",
     "TAG_LIFTED_PATH_CUT_STRONG",
-    "TAG_SYM_PATH_CUT",
     "TAG_SYM_LIFTED_PATH_CUT",
     "TAG_SYM_LIFTED_PATH_CUT_STRONG",
     "TAG_LIFTED_FLOW",
@@ -62,12 +60,9 @@ __all__ = [
 TAG_FLOW = "flow"
 TAG_CUT_OUT = "cut-out"
 TAG_CUT_IN = "cut-in"
-TAG_PATH = "path"
-TAG_PATH_CUT = "path-cut"
 TAG_LIFTED_PATH = "lifted-path"
 TAG_LIFTED_PATH_CUT = "lifted-path-cut"
 TAG_LIFTED_PATH_CUT_STRONG = "lifted-path-cut-strong"
-TAG_SYM_PATH_CUT = "sym-path-cut"
 TAG_SYM_LIFTED_PATH_CUT = "sym-lifted-path-cut"
 TAG_SYM_LIFTED_PATH_CUT_STRONG = "sym-lifted-path-cut-strong"
 TAG_LIFTED_FLOW = "lifted-flow"
@@ -177,11 +172,6 @@ def build_flow_conservation(
     )
 
 
-def _lift_pair(instance: Instance, lift_idx: int) -> tuple[int, int]:
-    u, v, _ = instance.lifted_edges[lift_idx]
-    return u, v
-
-
 def build_single_node_cut(
     instance: Instance,
     reach: Reachability,
@@ -189,7 +179,7 @@ def build_single_node_cut(
     side: Literal["out_of_v", "into_w"],
 ) -> LinearConstraint:
     """Label (v,w) is off unless flow leaves v toward w / enters w from v."""
-    v, w = _lift_pair(instance, lift_idx)
+    v, w, _ = instance.lifted_edges[lift_idx]
     terms: list[tuple[VariableHandle, float]] = [(lift_var(lift_idx), 1.0)]
     if side == "out_of_v":
         for e, u in instance.out_edges[v]:
@@ -204,79 +194,6 @@ def build_single_node_cut(
     else:
         raise ValueError(f"unknown side {side!r}")
     return LinearConstraint(tuple(terms), "<=", 0.0, tag)
-
-
-def _check_base_path(instance: Instance, nodes: tuple[int, ...]) -> None:
-    for a, b in zip(nodes, nodes[1:]):
-        if (a, b) not in instance.base_index:
-            raise ValueError(f"({a},{b}) is not a base edge")
-
-
-def build_path_inequality(
-    instance: Instance, lift_idx: int, path_nodes: Iterable[int]
-) -> LinearConstraint:
-    """Flow entering a v-w path at v must reach w unless it exits the path.
-
-    y'_vw >= sum_{j in P} y_vj - sum_{i in P \\ {v,w}} sum_{k not in P} y_ik
-    """
-    v, w = _lift_pair(instance, lift_idx)
-    nodes = tuple(path_nodes)
-    if not nodes or nodes[0] != v or nodes[-1] != w:
-        raise ValueError("path must run from the lifted tail to the lifted head")
-    _check_base_path(instance, nodes)
-    on_path = set(nodes)
-    terms: list[tuple[VariableHandle, float]] = [(lift_var(lift_idx), 1.0)]
-    for e, j in instance.out_edges[v]:
-        if j in on_path:
-            terms.append((base_var(e), -1.0))
-    for i in nodes[1:-1]:
-        for e, k in instance.out_edges[i]:
-            if k not in on_path:  # includes exits to the sink
-                terms.append((base_var(e), 1.0))
-    return LinearConstraint(tuple(terms), ">=", 0.0, TAG_PATH)
-
-
-def build_multicut_path_inequality(
-    instance: Instance, lift_idx: int, path_nodes: Iterable[int]
-) -> LinearConstraint:
-    """Weaker decomposition-style lower bound: y'_vw >= sum(y_e - 1) + 1."""
-    v, w = _lift_pair(instance, lift_idx)
-    nodes = tuple(path_nodes)
-    if not nodes or nodes[0] != v or nodes[-1] != w:
-        raise ValueError("path must run from the lifted tail to the lifted head")
-    _check_base_path(instance, nodes)
-    terms: list[tuple[VariableHandle, float]] = [(lift_var(lift_idx), 1.0)]
-    for a, b in zip(nodes, nodes[1:]):
-        terms.append((base_var(instance.base_index[(a, b)]), -1.0))
-    return LinearConstraint(tuple(terms), ">=", float(1 - (len(nodes) - 1)), TAG_MULTICUT_PATH)
-
-
-def build_path_induced_cut(
-    instance: Instance,
-    reach: Reachability,
-    lift_idx: int,
-    path_nodes: Iterable[int],
-) -> LinearConstraint:
-    """Flow on a v-u path must exit toward w somewhere, else the label is off.
-
-    For a base path P from v to u with u->w reachable, u != w:
-    y'_vw <= sum_{i in P} sum_{k not in P, k->w reachable} y_ik
-    """
-    v, w = _lift_pair(instance, lift_idx)
-    nodes = tuple(path_nodes)
-    if not nodes or nodes[0] != v:
-        raise ValueError("path must start at the lifted tail")
-    u = nodes[-1]
-    if u == w or not reach.reaches(u, w):
-        raise ValueError("path endpoint must reach the lifted head and differ from it")
-    _check_base_path(instance, nodes)
-    on_path = set(nodes)
-    terms: list[tuple[VariableHandle, float]] = [(lift_var(lift_idx), 1.0)]
-    for i in nodes:
-        for e, k in instance.out_edges[i]:
-            if k not in on_path and reach.reaches(k, w):
-                terms.append((base_var(e), -1.0))
-    return LinearConstraint(tuple(terms), "<=", 0.0, TAG_PATH_CUT)
 
 
 def _witness_shortcut_terms(
@@ -301,7 +218,7 @@ def build_lifted_path_inequality(
     y'_vw >= sum_{j in P} y_vj - sum_{i in P \\ {v,w}} sum_{k not in P} y_ik
              + sum_{shortcuts} y'_ij - sum_{shortcuts parallel to a base edge} y_ij
     """
-    v, w = _lift_pair(instance, lift_idx)
+    v, w, _ = instance.lifted_edges[lift_idx]
     witness.validate(instance)
     nodes = witness.nodes
     if nodes[0] != v or nodes[-1] != w:
@@ -319,6 +236,23 @@ def build_lifted_path_inequality(
     return LinearConstraint(tuple(terms), ">=", 0.0, TAG_LIFTED_PATH).canonicalized()
 
 
+def build_multicut_path_inequality(
+    instance: Instance, lift_idx: int, witness: PathWitness
+) -> LinearConstraint:
+    """Weaker decomposition-style lower bound along a pure base v-w witness:
+    y'_vw >= sum_{e in P} (y_e - 1) + 1."""
+    v, w, _ = instance.lifted_edges[lift_idx]
+    witness.validate(instance)
+    if witness.lifted_edges:
+        raise ValueError("multicut path inequality takes a pure base witness")
+    if witness.nodes[0] != v or witness.nodes[-1] != w:
+        raise ValueError("witness must run from the lifted tail to the lifted head")
+    terms = [(lift_var(lift_idx), 1.0)] + [(base_var(e), -1.0) for e in witness.base_edges]
+    return LinearConstraint(
+        tuple(terms), ">=", float(1 - len(witness.base_edges)), TAG_MULTICUT_PATH
+    )
+
+
 def build_lifted_path_induced_cut(
     instance: Instance,
     reach: Reachability,
@@ -332,7 +266,7 @@ def build_lifted_path_induced_cut(
                             - sum_{shortcuts} y'_ij + sum_{parallel} y_ij
     Strengthened:  the outgoing sum skips i = u, and + y'_uw joins the bound.
     """
-    v, w = _lift_pair(instance, lift_idx)
+    v, w, _ = instance.lifted_edges[lift_idx]
     witness.validate(instance)
     nodes = witness.nodes
     if nodes[0] != v:
@@ -365,52 +299,40 @@ def build_symmetric_cut(
     reach: Reachability,
     lift_idx: int,
     witness: PathWitness,
-    variant: Literal["plain", "lifted", "strengthened"] = "lifted",
+    strengthened: bool = False,
 ) -> LinearConstraint:
-    """Mirror cuts along a u-w witness, filtered by reachability from v.
+    """Mirror cut along a u-w witness; `strengthened` needs (v, u) to be a
+    lifted edge, otherwise u != v must be reachable from v.
 
-    Plain (pure base path, v->u reachable, u != v):
-        y'_vw <= sum_{i in P} sum_{(k,i) in E, k not in P, v->k} y_ki
-    Lifted: same with shortcut correction terms.
-    Strengthened (needs lifted edge (v, u)): the incoming sum skips i = u and
-        + y'_vu joins the bound.
+    Plain:         y'_vw <= sum_{i in P} sum_{(k,i) in E, k not in P, v->k} y_ki
+                            - sum_{shortcuts} y'_ij + sum_{parallel} y_ij
+    Strengthened:  the incoming sum skips i = u, and + y'_vu joins the bound.
     """
-    v, w = _lift_pair(instance, lift_idx)
+    v, w, _ = instance.lifted_edges[lift_idx]
     witness.validate(instance)
     nodes = witness.nodes
     if nodes[-1] != w:
         raise ValueError("witness must end at the lifted head")
     u = nodes[0]
-    terms: list[tuple[VariableHandle, float]] = [(lift_var(lift_idx), 1.0)]
-    skip: set[int] = set()
-    tag = TAG_SYM_LIFTED_PATH_CUT
-    if variant == "plain":
-        if witness.lifted_edges:
-            raise ValueError("plain variant takes a pure base witness")
-        if u == v or not reach.reaches(v, u):
-            raise ValueError("witness start must be reachable from the lifted tail")
-        tag = TAG_SYM_PATH_CUT
-    elif variant == "lifted":
-        if u == v or not reach.reaches(v, u):
-            raise ValueError("witness start must be reachable from the lifted tail")
-    elif variant == "strengthened":
-        vu = instance.lifted_index.get((v, u))
-        if vu is None:
-            raise ValueError(f"strengthened form needs a lifted edge ({v},{u})")
-        skip = {u}
-        terms.append((lift_var(vu), -1.0))
-        tag = TAG_SYM_LIFTED_PATH_CUT_STRONG
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    if not strengthened and (u == v or not reach.reaches(v, u)):
+        raise ValueError("witness start must be reachable from the lifted tail")
     on_path = witness.node_set
+    terms: list[tuple[VariableHandle, float]] = [(lift_var(lift_idx), 1.0)]
+    skip = {u} if strengthened else set()
     for i in nodes:
         if i in skip:
             continue
         for e, k in instance.in_edges[i]:
             if k not in on_path and k != SOURCE and reach.reaches(v, k):
                 terms.append((base_var(e), -1.0))
-    if variant != "plain":
-        terms.extend(_witness_shortcut_terms(instance, witness, 1.0))
+    terms.extend(_witness_shortcut_terms(instance, witness, 1.0))
+    tag = TAG_SYM_LIFTED_PATH_CUT
+    if strengthened:
+        vu = instance.lifted_index.get((v, u))
+        if vu is None:
+            raise ValueError(f"strengthened form needs a lifted edge ({v},{u})")
+        terms.append((lift_var(vu), -1.0))
+        tag = TAG_SYM_LIFTED_PATH_CUT_STRONG
     return LinearConstraint(tuple(terms), "<=", 0.0, tag).canonicalized()
 
 

@@ -37,15 +37,16 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .constraints import (
+    PathWitness,
     base_var,
     build_flow_conservation,
     build_lifted_flow_inequalities,
-    build_path_inequality,
+    build_lifted_path_inequality,
     build_single_node_cut,
     lift_var,
     node_var,
 )
-from .instance import _LABELS, SINK, FlowSolution, Instance, evaluate_objective
+from .instance import _LABELS, FlowSolution, Instance, evaluate_objective
 from .milp import (
     LinearConstraint,
     MilpError,
@@ -200,15 +201,18 @@ def _initial_rows(instance: Instance) -> Iterator[LinearConstraint]:
             yield cut_in
     if instance.frames is not None:
         yield from build_lifted_flow_inequalities(instance)
-    # Path inequalities of one-edge, then two-edge witness paths: the
+    # Path inequalities of one-edge, then two-edge base witnesses: the
     # shortest of the family and the first the LP relaxation violates.
     for li, (v, w, _) in enumerate(instance.lifted_edges):
-        if (v, w) in instance.base_index:
-            yield build_path_inequality(instance, li, (v, w))
+        e = instance.base_index.get((v, w))
+        if e is not None:
+            yield build_lifted_path_inequality(instance, li, PathWitness((v, w), (e,)))
     for li, (v, w, _) in enumerate(instance.lifted_edges):
-        for _, mid in instance.out_edges[v]:
-            if mid != SINK and (mid, w) in instance.base_index:
-                yield build_path_inequality(instance, li, (v, mid, w))
+        for e1, mid in instance.out_edges[v]:
+            e2 = instance.base_index.get((mid, w))
+            if e2 is not None:
+                witness = PathWitness((v, mid, w), (e1, e2))
+                yield build_lifted_path_inequality(instance, li, witness)
 
 
 def certify(instance: Instance, solution: FlowSolution) -> list[LinearConstraint]:

@@ -20,6 +20,25 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
+__all__ = [
+    "SOURCE",
+    "SINK",
+    "InstanceError",
+    "InstanceFormatError",
+    "InstanceValidationError",
+    "Instance",
+    "Reachability",
+    "FlowSolution",
+    "evaluate_objective",
+    "active_st_paths",
+    "lifted_labels_from_flow",
+    "solution_from_paths",
+    "parse_instance",
+    "serialize_instance",
+    "format_solution",
+    "parse_solution",
+]
+
 #: Sentinel node ids.  Inner nodes are 1..n, so these never collide.
 SOURCE = 0
 SINK = -1

@@ -64,6 +64,20 @@ from typing import NamedTuple
 
 import numpy as np
 
+__all__ = [
+    "KIND_NODE",
+    "KIND_BASE",
+    "KIND_LIFT",
+    "MilpError",
+    "VariableHandle",
+    "LinearConstraint",
+    "check_violation",
+    "LpResult",
+    "BinaryResult",
+    "solve_lp",
+    "solve_binary",
+]
+
 #: Variable kinds, in canonical column order.
 KIND_NODE = "node"
 KIND_BASE = "base"
@@ -128,11 +142,7 @@ class LinearConstraint:
         acc: dict[VariableHandle, float] = {}
         for h, c in self.terms:
             acc[h] = acc.get(h, 0.0) + c
-        terms = tuple(
-            (h, acc[h])
-            for h in sorted(acc, key=lambda h: (h.kind, h.index))
-            if acc[h] != 0.0
-        )
+        terms = tuple((h, acc[h]) for h in sorted(acc) if acc[h] != 0.0)
         return LinearConstraint(terms, self.sense, self.rhs, self.tag)
 
     def key(self) -> tuple:

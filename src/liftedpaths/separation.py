@@ -207,14 +207,12 @@ def separate_lifted_cut(
                         best = (lu[1], u)
             if best is not None:
                 witness = _extract(index, qid, best[1], w)
-                con = build_symmetric_cut(
-                    instance, reach, li, witness, variant="strengthened"
-                )
+                con = build_symmetric_cut(instance, reach, li, witness, strengthened=True)
             else:
                 # first path vertex reachable from v (w qualifies)
                 u = next(p for p in path if reach.reaches(v, p))
                 witness = _extract(index, qid, u, w)
-                con = build_symmetric_cut(instance, reach, li, witness, variant="lifted")
+                con = build_symmetric_cut(instance, reach, li, witness, strengthened=False)
             violation = check_violation(con, values)
             assert violation > 0, f"unviolated separation output: {con.format()}"
             report.constraints.append(con)

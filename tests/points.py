@@ -16,10 +16,10 @@ from liftedpaths.constraints import (
     base_var,
     build_lifted_path_induced_cut,
     build_lifted_path_inequality,
-    build_path_inequality,
     build_symmetric_cut,
     lift_var,
     node_var,
+    witness_from_base_path,
 )
 from liftedpaths.instance import SINK as T
 from liftedpaths.instance import Instance
@@ -194,7 +194,9 @@ CASES = (
         weaker="multicut-path",
         stronger="path",
         build=_route_vs_multicut,
-        designated=lambda inst: build_path_inequality(inst, 0, (1, 2, 3, 4, 5, 6)),
+        designated=lambda inst: build_lifted_path_inequality(
+            inst, 0, witness_from_base_path(inst, (1, 2, 3, 4, 5, 6))
+        ),
     ),
     StrictnessCase(
         name="mixed-route",
@@ -250,7 +252,6 @@ CASES = (
             inst.reachability,
             inst.lifted_index[(5, 4)],
             PathWitness(nodes=(2, 4), lifted_edges=(inst.lifted_index[(2, 4)],)),
-            variant="lifted",
         ),
     ),
     StrictnessCase(
@@ -263,7 +264,7 @@ CASES = (
             inst.reachability,
             inst.lifted_index[(5, 4)],
             PathWitness(nodes=(3, 4), base_edges=(inst.base_index[(3, 4)],)),
-            variant="strengthened",
+            strengthened=True,
         ),
     ),
     StrictnessCase(
@@ -279,7 +280,6 @@ CASES = (
                 nodes=(6, 8, 11),
                 base_edges=(inst.base_index[(6, 8)], inst.base_index[(8, 11)]),
             ),
-            variant="plain",
         ),
     ),
 )

@@ -17,7 +17,9 @@ from liftedpaths.constraints import (
     base_var,
     build_flow_conservation,
     build_lifted_flow_inequalities,
+    build_multicut_path_inequality,
     build_single_node_cut,
+    build_symmetric_cut,
     lift_var,
     node_var,
     witness_from_base_path,
@@ -113,6 +115,36 @@ def test_witness_validation_requires_a_cover():
     with pytest.raises(ValueError, match="not covered"):
         PathWitness(nodes=(1, 3), base_edges=()).validate(inst)
     PathWitness(nodes=(1,)).validate(inst)  # a lone node needs no edges
+
+
+def test_multicut_path_inequality_takes_a_base_witness_of_its_edge():
+    inst = demo_instance()
+    li14 = inst.lifted_index[(1, 4)]
+    row = build_multicut_path_inequality(inst, li14, witness_from_base_path(inst, (1, 3, 4)))
+    assert row.terms == (
+        (lift_var(li14), 1.0),
+        (base_var(inst.base_index[(1, 3)]), -1.0),
+        (base_var(inst.base_index[(3, 4)]), -1.0),
+    )
+    assert (row.sense, row.rhs) == (">=", -1.0)
+    shortcut = PathWitness(nodes=(1, 4), lifted_edges=(li14,))
+    with pytest.raises(ValueError, match="pure base witness"):
+        build_multicut_path_inequality(inst, li14, shortcut)
+    with pytest.raises(ValueError, match="lifted tail to the lifted head"):
+        build_multicut_path_inequality(inst, li14, witness_from_base_path(inst, (1, 3)))
+
+
+def test_plain_mirrored_cut_needs_a_start_the_tail_reaches():
+    """Node 2 starts a base path into 4, but the lifted tail 1 does not
+    reach it; nor is the tail itself a start."""
+    inst = demo_instance()
+    li14 = inst.lifted_index[(1, 4)]
+    for nodes in ((2, 4), (1, 3, 4)):
+        witness = witness_from_base_path(inst, nodes)
+        with pytest.raises(ValueError, match="reachable from the lifted tail"):
+            build_symmetric_cut(inst, inst.reachability, li14, witness, strengthened=False)
+    row = build_symmetric_cut(inst, inst.reachability, li14, witness_from_base_path(inst, (3, 4)))
+    assert row.tag == "sym-lifted-path-cut"
 
 
 def test_lifted_flow_rows_need_frames():

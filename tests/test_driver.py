@@ -34,15 +34,15 @@ from liftedpaths.constraints import (
     TAG_FLOW,
     TAG_LIFTED_FLOW,
     TAG_LIFTED_PATH,
-    TAG_PATH,
     SolutionValues,
     base_var,
     build_flow_conservation,
     build_lifted_flow_inequalities,
-    build_path_inequality,
+    build_lifted_path_inequality,
     build_single_node_cut,
     lift_var,
     node_var,
+    witness_from_base_path,
 )
 from liftedpaths.driver import (
     RoundStats,
@@ -363,12 +363,13 @@ def reference_initial_rows(inst: Instance):
     two_hop = []
     for li, (v, w, _) in enumerate(inst.lifted_edges):
         if (v, w) in inst.base_index:
-            rows.append(build_path_inequality(inst, li, (v, w)))
+            witness = witness_from_base_path(inst, (v, w))
+            rows.append(build_lifted_path_inequality(inst, li, witness))
         for _, mid in inst.out_edges[v]:
             if mid != SINK and (mid, w) in inst.base_index:
                 two_hop.append((li, (v, mid, w)))
     for li, nodes in two_hop:
-        rows.append(build_path_inequality(inst, li, nodes))
+        rows.append(build_lifted_path_inequality(inst, li, witness_from_base_path(inst, nodes)))
     first, kept, dropped = {}, [], []
     for row in rows:
         if row.key() in first:
@@ -472,7 +473,7 @@ def test_large_instances_start_from_the_flow_rows_alone():
         assert list(build_initial_constraints(inst)) == flow_rows(inst)
     small = reduce_sat(SATISFIABLE_FORMULA).instance
     store = build_initial_constraints(small)
-    assert {row.tag for row in store} == {TAG_FLOW, TAG_CUT_OUT, TAG_CUT_IN, TAG_PATH}
+    assert {row.tag for row in store} == {TAG_FLOW, TAG_CUT_OUT, TAG_CUT_IN, TAG_LIFTED_PATH}
     assert list(store)[: 2 * small.n] == flow_rows(small)
     assert_store_matches_the_reference(small)
 

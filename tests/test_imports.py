@@ -31,20 +31,21 @@ def test_package_and_cli_import_without_scipy():
 
 
 def test_every_exported_name_resolves_and_re_exports_are_listed():
-    """Every name in `liftedpaths.__all__` and in each submodule's `__all__`
-    resolves, and each name the package re-exports from a submodule with an
-    `__all__` is listed there."""
+    """Every submodule has an `__all__`, every name in it and in
+    `liftedpaths.__all__` resolves, and each name the package re-exports
+    from a submodule is listed in that submodule's `__all__`."""
     submodules = {
         info.name: importlib.import_module(f"liftedpaths.{info.name}")
         for info in pkgutil.iter_modules(liftedpaths.__path__)
     }
+    bare = [name for name, module in submodules.items() if not hasattr(module, "__all__")]
+    assert not bare, f"submodules without __all__: {bare}"
     for module in (liftedpaths, *submodules.values()):
-        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
     tree = ast.parse(Path(liftedpaths.__file__).read_text())
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            listed = getattr(submodules[node.module], "__all__", None)
-            if listed is not None:
-                unlisted = [a.name for a in node.names if a.name not in listed]
-                assert not unlisted, f"liftedpaths.{node.module}.__all__ lacks {unlisted}"
+            listed = submodules[node.module].__all__
+            unlisted = [a.name for a in node.names if a.name not in listed]
+            assert not unlisted, f"liftedpaths.{node.module}.__all__ lacks {unlisted}"
