@@ -17,7 +17,6 @@ from .constraints import (
     build_lifted_path_induced_cut,
     build_lifted_path_inequality,
     build_multicut_path_inequality,
-    build_single_node_cut,
     build_symmetric_cut,
     check_violation,
     witness_from_base_path,
@@ -114,7 +113,6 @@ __all__ = [
     "witness_from_base_path",
     "check_violation",
     "build_flow_conservation",
-    "build_single_node_cut",
     "build_multicut_path_inequality",
     "build_lifted_path_inequality",
     "build_lifted_path_induced_cut",

@@ -23,7 +23,6 @@ from .constraints import (
     build_lifted_path_induced_cut,
     build_lifted_path_inequality,
     build_multicut_path_inequality,
-    build_single_node_cut,
     build_symmetric_cut,
 )
 from .driver import _unseen, master_variables
@@ -97,10 +96,11 @@ def enumerate_family(
     """All rows of one family, witnesses capped at `max_path_len` nodes.
 
     Rows are deduplicated by content.  Families without witnesses ('flow',
-    'single-cut', 'lifted-flow') ignore the length cap; 'lifted-flow' is
-    empty for instances without frame annotations.  The witness families
-    walk every witness before building a row, so an enumeration that runs
-    out of budget builds none.
+    'lifted-flow') and 'single-cut', whose witnesses are the lone tail and
+    the lone head of each lifted edge, ignore the length cap; 'lifted-flow'
+    is empty for instances without frame annotations.  The other witness
+    families walk every witness before building a row, so an enumeration
+    that runs out of budget builds none.
     """
     if family not in ALL_FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {ALL_FAMILIES}")
@@ -112,9 +112,9 @@ def enumerate_family(
         for v in instance.inner_nodes():
             rows.extend(build_flow_conservation(instance, v))
     elif family == "single-cut":
-        for li in range(len(instance.lifted_edges)):
-            rows.append(build_single_node_cut(instance, reach, li, "out_of_v"))
-            rows.append(build_single_node_cut(instance, reach, li, "into_w"))
+        for li, (v, w, _) in enumerate(instance.lifted_edges):
+            rows.append(build_lifted_path_induced_cut(instance, reach, li, PathWitness((v,))))
+            rows.append(build_symmetric_cut(instance, reach, li, PathWitness((w,))))
     elif family == "lifted-flow":
         if instance.frames is not None:
             rows.extend(build_lifted_flow_inequalities(instance))

@@ -10,15 +10,17 @@ the label on when flow connects v to w; upper-bound (cut) families force it
 off when flow provably cannot connect them.  Each inequality shape has one
 builder, which takes a `PathWitness`: a witness may take already-labeled
 lifted edges as shortcuts, which is what makes the separation of integral
-points exact, and a witness with none gives the plain inequality.  A row's
-tag names its builder; the families of `bounds` name which witnesses they
-enumerate, so the plain and lifted families share tags.
+points exact, and a witness with none gives the plain inequality.  The
+single-node cuts of (v, w) are the cut along the one-node witness (v,) and
+the mirrored cut along (w,).  A row's tag names its builder; the families of
+`bounds` name which witnesses they enumerate, so the plain and lifted
+families share tags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .instance import SOURCE, FlowSolution, Instance, Reachability
 from .milp import (
@@ -38,7 +40,6 @@ __all__ = [
     "base_var",
     "lift_var",
     "build_flow_conservation",
-    "build_single_node_cut",
     "build_lifted_path_inequality",
     "build_lifted_path_induced_cut",
     "build_symmetric_cut",
@@ -46,8 +47,6 @@ __all__ = [
     "build_multicut_path_inequality",
     "check_violation",
     "TAG_FLOW",
-    "TAG_CUT_OUT",
-    "TAG_CUT_IN",
     "TAG_LIFTED_PATH",
     "TAG_LIFTED_PATH_CUT",
     "TAG_LIFTED_PATH_CUT_STRONG",
@@ -58,8 +57,6 @@ __all__ = [
 ]
 
 TAG_FLOW = "flow"
-TAG_CUT_OUT = "cut-out"
-TAG_CUT_IN = "cut-in"
 TAG_LIFTED_PATH = "lifted-path"
 TAG_LIFTED_PATH_CUT = "lifted-path-cut"
 TAG_LIFTED_PATH_CUT_STRONG = "lifted-path-cut-strong"
@@ -170,30 +167,6 @@ def build_flow_conservation(
         LinearConstraint(tuple(xin) + (nv,), "=", 0.0, TAG_FLOW),
         LinearConstraint(tuple(xout) + (nv,), "=", 0.0, TAG_FLOW),
     )
-
-
-def build_single_node_cut(
-    instance: Instance,
-    reach: Reachability,
-    lift_idx: int,
-    side: Literal["out_of_v", "into_w"],
-) -> LinearConstraint:
-    """Label (v,w) is off unless flow leaves v toward w / enters w from v."""
-    v, w, _ = instance.lifted_edges[lift_idx]
-    terms: list[tuple[VariableHandle, float]] = [(lift_var(lift_idx), 1.0)]
-    if side == "out_of_v":
-        for e, u in instance.out_edges[v]:
-            if reach.reaches(u, w):
-                terms.append((base_var(e), -1.0))
-        tag = TAG_CUT_OUT
-    elif side == "into_w":
-        for e, u in instance.in_edges[w]:
-            if u != SOURCE and reach.reaches(v, u):
-                terms.append((base_var(e), -1.0))
-        tag = TAG_CUT_IN
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return LinearConstraint(tuple(terms), "<=", 0.0, tag)
 
 
 def _witness_shortcut_terms(
@@ -348,18 +321,12 @@ def build_lifted_flow_inequalities(instance: Instance) -> list[LinearConstraint]
     frames = instance.frames
     out: list[LinearConstraint] = []
     for v in instance.inner_nodes():
-        by_frame: dict[int, list[int]] = {}
-        for li, u in instance.lifted_out.get(v, ()):
-            by_frame.setdefault(frames[u], []).append(li)
-        for f in sorted(by_frame):
-            terms = [(lift_var(li), 1.0) for li in sorted(by_frame[f])]
-            terms.append((node_var(v), -1.0))
-            out.append(LinearConstraint(tuple(terms), "<=", 0.0, TAG_LIFTED_FLOW))
-        by_frame = {}
-        for li, u in instance.lifted_in.get(v, ()):
-            by_frame.setdefault(frames[u], []).append(li)
-        for f in sorted(by_frame):
-            terms = [(lift_var(li), 1.0) for li in sorted(by_frame[f])]
-            terms.append((node_var(v), -1.0))
-            out.append(LinearConstraint(tuple(terms), "<=", 0.0, TAG_LIFTED_FLOW))
+        for lifted in (instance.lifted_out, instance.lifted_in):
+            by_frame: dict[int, list[int]] = {}
+            for li, u in lifted.get(v, ()):
+                by_frame.setdefault(frames[u], []).append(li)
+            for f in sorted(by_frame):
+                terms = [(lift_var(li), 1.0) for li in sorted(by_frame[f])]
+                terms.append((node_var(v), -1.0))
+                out.append(LinearConstraint(tuple(terms), "<=", 0.0, TAG_LIFTED_FLOW))
     return out

@@ -2,8 +2,9 @@
 
 The master problem is a binary program over node indicators, base-edge flow
 variables and lifted-edge labels.  It starts from always-valid rows (flow
-conservation and, on small instances, the two single-node cuts per lifted
-edge, the per-frame label bounds when frame data is present, and the path
+conservation and, on small instances, the single-node cuts, which are the
+cut and mirrored cut along each lifted edge's one-node witnesses, the
+per-frame label bounds when frame data is present, and the path
 inequalities of one- and two-edge witness paths) and alternates
 
     solve master  ->  separate at the integral optimum  ->  add cuts
@@ -41,8 +42,9 @@ from .constraints import (
     base_var,
     build_flow_conservation,
     build_lifted_flow_inequalities,
+    build_lifted_path_induced_cut,
     build_lifted_path_inequality,
-    build_single_node_cut,
+    build_symmetric_cut,
     lift_var,
     node_var,
 )
@@ -160,9 +162,10 @@ def build_initial_constraints(
     per-frame label bounds (when the instance has frames) and the path
     inequalities of one- and two-edge witness paths; larger instances get
     those rows from separation only.  The rows come from the family builders
-    in `constraints`.  A lifted edge's cut-in row is left out when its terms
-    are those of its cut-out row; that is the only way two of these rows can
-    be equal.
+    in `constraints`; the single-node cuts of (v, w) are the cut along the
+    one-node witness (v,) and the mirrored cut along (w,).  A lifted edge's
+    mirrored row is left out when its terms are those of its cut row; that
+    is the only way two of these rows can be equal.
     """
     store = _RowStore(_master_handles(instance) if variables is None else variables)
     store.extend(_initial_rows(instance))
@@ -193,10 +196,10 @@ def _initial_rows(instance: Instance) -> Iterator[LinearConstraint]:
     if _flow_rows_only(instance):
         return
     reach = instance.reachability
-    for li in range(len(instance.lifted_edges)):
-        cut_out = build_single_node_cut(instance, reach, li, "out_of_v")
+    for li, (v, w, _) in enumerate(instance.lifted_edges):
+        cut_out = build_lifted_path_induced_cut(instance, reach, li, PathWitness((v,)))
         yield cut_out
-        cut_in = build_single_node_cut(instance, reach, li, "into_w")
+        cut_in = build_symmetric_cut(instance, reach, li, PathWitness((w,)))
         if cut_in.terms != cut_out.terms:
             yield cut_in
     if instance.frames is not None:

@@ -9,7 +9,8 @@ the flow actually realizes:
     inequality per offending edge, violated by exactly 1.
   * `separate_lifted_cut`    — labels that are 1 but should be 0.  Emits one
     (possibly strengthened) path-induced cut per offending edge and its
-    mirrored cut, each violated by exactly 1.
+    mirrored cut, each violated by exactly 1; an endpoint that carries no
+    flow gets the cut along its one-node witness, the single-node cut.
 
 Both run in one scan over the active paths plus one scan over the lifted
 edges; witness construction only reuses the indexes built during those scans,
@@ -28,7 +29,6 @@ from .constraints import (
     PathWitness,
     build_lifted_path_induced_cut,
     build_lifted_path_inequality,
-    build_single_node_cut,
     build_symmetric_cut,
     check_violation,
 )
@@ -152,7 +152,9 @@ def separate_lifted_cut(
     emitted along that path (strengthened to reuse a 0-labeled lifted edge
     (u, w) when one exists — the latest such u wins).  A mirrored cut along
     w's path is emitted as well (earliest 0-labeled (v, u); mirror-image
-    fallback otherwise).
+    fallback otherwise).  An endpoint on no path gives a one-node witness:
+    (v,) for the cut, and (w,) for the mirror when v is on a path.  The cut
+    comes before its mirror.
     """
     index = _PathIndex(instance, solution)
     report = SeparationReport(items_inspected=index.items_inspected)
@@ -162,39 +164,29 @@ def separate_lifted_cut(
     for li, v, w in index.ones:
         lv = index.where.get(v)
         lw = index.where.get(w)
-        if lv is not None:
+        best: tuple[int, int] | None = None
+        if lv is None:
+            # v carries no flow at all: its single-node cut is already violated.
+            witness = PathWitness((v,))
+        else:
             pid, pos_v = lv
             path = index.paths[pid]
             # strengthened: latest u after v on this path with (u,w) labeled 0
-            best: tuple[int, int] | None = None
             for u, _lj in index.zeros_in.get(w, ()):
                 lu = index.where.get(u)
                 if lu is not None and lu[0] == pid and lu[1] > pos_v:
                     if best is None or lu[1] > best[0]:
                         best = (lu[1], u)
-            if best is not None:
-                witness = _extract(index, pid, v, best[1])
-                con = build_lifted_path_induced_cut(
-                    instance, reach, li, witness, strengthened=True
-                )
-            else:
+            if best is None:
                 # plain: last path vertex that still reaches w (v qualifies)
                 u = next(
                     path[i] for i in range(len(path) - 1, -1, -1)
                     if reach.reaches(path[i], w)
                 )
-                witness = _extract(index, pid, v, u)
-                con = build_lifted_path_induced_cut(
-                    instance, reach, li, witness, strengthened=False
-                )
-            violation = check_violation(con, values)
-            assert violation > 0, f"unviolated separation output: {con.format()}"
-            report.constraints.append(con)
-        else:
-            # v carries no flow at all: the plain out-cut is already violated.
-            con = build_single_node_cut(instance, reach, li, "out_of_v")
-            assert check_violation(con, values) > 0
-            report.constraints.append(con)
+            else:
+                u = best[1]
+            witness = _extract(index, pid, v, u)
+        rows = [build_lifted_path_induced_cut(instance, reach, li, witness, best is not None)]
 
         if lw is not None:
             qid, pos_w = lw
@@ -205,20 +197,19 @@ def separate_lifted_cut(
                 if lu is not None and lu[0] == qid and lu[1] < pos_w:
                     if best is None or lu[1] < best[0]:
                         best = (lu[1], u)
-            if best is not None:
-                witness = _extract(index, qid, best[1], w)
-                con = build_symmetric_cut(instance, reach, li, witness, strengthened=True)
-            else:
+            if best is None:
                 # first path vertex reachable from v (w qualifies)
                 u = next(p for p in path if reach.reaches(v, p))
-                witness = _extract(index, qid, u, w)
-                con = build_symmetric_cut(instance, reach, li, witness, strengthened=False)
+            else:
+                u = best[1]
+            witness = _extract(index, qid, u, w)
+            rows.append(build_symmetric_cut(instance, reach, li, witness, best is not None))
+        elif lv is not None:
+            # w carries no flow: its mirrored single-node cut.
+            rows.append(build_symmetric_cut(instance, reach, li, PathWitness((w,))))
+
+        for con in rows:
             violation = check_violation(con, values)
             assert violation > 0, f"unviolated separation output: {con.format()}"
-            report.constraints.append(con)
-        elif lv is not None:
-            # w carries no flow: mirror single-node cut.
-            con = build_single_node_cut(instance, reach, li, "into_w")
-            assert check_violation(con, values) > 0
-            report.constraints.append(con)
+        report.constraints.extend(rows)
     return report

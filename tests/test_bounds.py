@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import demo_instance, random_instance, tightening_instance
+from generators import demo_instance, framed_instance, random_instance, tightening_instance
+from liftedpaths import constraints
 from liftedpaths.bounds import ALL_FAMILIES, BudgetError, enumerate_family, lp_bound
 from liftedpaths.instance import SINK, SOURCE, Instance
 from liftedpaths.oracle import brute_force_optimum
@@ -63,12 +64,26 @@ def test_demo_family_census():
         rows = enumerate_family(inst, inst.reachability, family)
         keys[family] = {row.key() for row in rows}
         if family == "single-cut":
-            # Single-node cuts split into an inbound and an outbound row.
-            assert {row.tag for row in rows} == {"cut-in", "cut-out"}
+            # Single-node cuts are the cut along the lone tail and the
+            # mirrored cut along the lone head.
+            assert {row.tag for row in rows} == {"lifted-path-cut", "sym-lifted-path-cut"}
         else:
             assert all(row.tag == shared.get(family, family) for row in rows)
     for plain, lifted in shared.items():
         assert keys[plain] <= keys[lifted]
+    assert keys["single-cut"] <= keys["path-cut"] | keys["sym-path-cut"]
+    # Every tag constant names rows some family builds, so a deleted
+    # builder cannot leave its tag behind.
+    emitted = {
+        row.tag
+        for example in (inst, framed_instance())
+        for family in ALL_FAMILIES
+        for row in enumerate_family(example, example.reachability, family)
+    }
+    declared = {
+        getattr(constraints, name) for name in constraints.__all__ if name.startswith("TAG_")
+    }
+    assert emitted == declared
 
 
 def test_enumeration_has_a_budget():

@@ -17,16 +17,16 @@ from liftedpaths.constraints import (
     base_var,
     build_flow_conservation,
     build_lifted_flow_inequalities,
+    build_lifted_path_induced_cut,
     build_multicut_path_inequality,
-    build_single_node_cut,
     build_symmetric_cut,
     lift_var,
     node_var,
     witness_from_base_path,
 )
 from liftedpaths.driver import build_initial_constraints, solve
-from liftedpaths.instance import FlowSolution, solution_from_paths
-from liftedpaths.milp import check_violation
+from liftedpaths.instance import SOURCE, FlowSolution, solution_from_paths
+from liftedpaths.milp import LinearConstraint, check_violation
 
 SEEDS = st.integers(0, 10_000)
 
@@ -77,12 +77,20 @@ def test_flow_conservation_is_a_pair_of_equalities():
     assert all(row.tag == "flow" for row in rows)
 
 
+def single_node_cuts(inst, li):
+    """The cut along the one-node witness (v,) and the mirror along (w,)."""
+    v, w, _ = inst.lifted_edges[li]
+    return (
+        build_lifted_path_induced_cut(inst, inst.reachability, li, PathWitness((v,))),
+        build_symmetric_cut(inst, inst.reachability, li, PathWitness((w,))),
+    )
+
+
 def test_single_node_cuts_pin_the_demo_labels():
     inst = demo_instance()
     good = SolutionValues(inst, solve(inst).solution)
     li = inst.lifted_index[(1, 4)]
-    for side in ("out_of_v", "into_w"):
-        row = build_single_node_cut(inst, inst.reachability, li, side)
+    for row in single_node_cuts(inst, li):
         assert check_violation(row, good) == 0.0
     # claiming the (2, 4) connection without routing through node 2 is caught
     sol = solve(inst).solution
@@ -94,8 +102,31 @@ def test_single_node_cuts_pin_the_demo_labels():
         sol.objective,
     )
     bad = SolutionValues(inst, lying)
-    out_cut = build_single_node_cut(inst, inst.reachability, li24, "out_of_v")
+    out_cut, _ = single_node_cuts(inst, li24)
     assert check_violation(out_cut, bad) == pytest.approx(1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_one_node_witness_cuts_are_the_single_node_cuts(seed):
+    """For a lifted edge (v, w), the paper's single-node cut bounds y'_vw by
+    v's out-edges into nodes that reach w, and its mirror by w's in-edges
+    from inner nodes that v reaches.  The reference reads the base edges and
+    a closure of its own."""
+    inst = random_instance(random.Random(seed), max_inner=8, max_base=18, max_lift=6)
+    reaches = oracles.reachable_sets(inst)
+    for li, (v, w, _) in enumerate(inst.lifted_edges):
+        out_terms = [(lift_var(li), 1.0)]
+        in_terms = [(lift_var(li), 1.0)]
+        for e, (a, b, _) in enumerate(inst.base_edges):
+            if a == v and w in reaches[b]:
+                out_terms.append((base_var(e), -1.0))
+            if b == w and a != SOURCE and a in reaches[v]:
+                in_terms.append((base_var(e), -1.0))
+        expected = [LinearConstraint(tuple(t), "<=", 0.0, "") for t in (out_terms, in_terms)]
+        assert [row.key() for row in single_node_cuts(inst, li)] == [
+            row.key() for row in expected
+        ]
 
 
 def test_witness_from_base_path_round_trip():

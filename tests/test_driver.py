@@ -29,17 +29,19 @@ from generators import (
 )
 from liftedpaths import driver, milp
 from liftedpaths.constraints import (
-    TAG_CUT_IN,
-    TAG_CUT_OUT,
     TAG_FLOW,
     TAG_LIFTED_FLOW,
     TAG_LIFTED_PATH,
+    TAG_LIFTED_PATH_CUT,
+    TAG_SYM_LIFTED_PATH_CUT,
+    PathWitness,
     SolutionValues,
     base_var,
     build_flow_conservation,
     build_lifted_flow_inequalities,
+    build_lifted_path_induced_cut,
     build_lifted_path_inequality,
-    build_single_node_cut,
+    build_symmetric_cut,
     lift_var,
     node_var,
     witness_from_base_path,
@@ -355,9 +357,9 @@ def reference_initial_rows(inst: Instance):
     rows = flow_rows(inst)
     if driver._flow_rows_only(inst):
         return rows, []
-    for li in range(len(inst.lifted_edges)):
-        rows.append(build_single_node_cut(inst, reach, li, "out_of_v"))
-        rows.append(build_single_node_cut(inst, reach, li, "into_w"))
+    for li, (v, w, _) in enumerate(inst.lifted_edges):
+        rows.append(build_lifted_path_induced_cut(inst, reach, li, PathWitness((v,))))
+        rows.append(build_symmetric_cut(inst, reach, li, PathWitness((w,))))
     if inst.frames is not None:
         rows.extend(build_lifted_flow_inequalities(inst))
     two_hop = []
@@ -380,6 +382,10 @@ def reference_initial_rows(inst: Instance):
     return kept, dropped
 
 
+def lift_handles(row) -> list:
+    return [h for h, _ in row.terms if h.kind == milp.KIND_LIFT]
+
+
 def assert_store_matches_the_reference(inst: Instance) -> int:
     """Row for row and term for term, the arrays included, for the store
     that `build_initial_constraints` writes; returns the number of rows
@@ -395,10 +401,29 @@ def assert_store_matches_the_reference(inst: Instance) -> int:
         ours, theirs = getattr(store, name), getattr(indexed, name)
         assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist(), name
     for row, repeated in dropped:
-        # only a cut-in row equal to its own lifted edge's cut-out row
-        assert (row.tag, repeated.tag) == (TAG_CUT_IN, TAG_CUT_OUT)
-        assert row.terms[0] == repeated.terms[0]
+        # only a mirrored single-node cut equal to its own lifted edge's cut
+        assert (row.tag, repeated.tag) == (TAG_SYM_LIFTED_PATH_CUT, TAG_LIFTED_PATH_CUT)
+        assert lift_handles(row) == lift_handles(repeated)
     return len(dropped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_lifted_flow_rows_come_per_node_out_then_in_by_frame(seed):
+    """Per node: its outgoing lifted edges grouped by the head's frame, then
+    its incoming ones by the tail's frame, each group in index order."""
+    inst = with_frames(random_instance(random.Random(seed), max_inner=9, max_lift=8))
+    expected = []
+    for v in inst.inner_nodes():
+        for end, other in ((0, 1), (1, 0)):
+            by_frame: dict[int, list[int]] = {}
+            for li, edge in enumerate(inst.lifted_edges):
+                if edge[end] == v:
+                    by_frame.setdefault(inst.frames[edge[other]], []).append(li)
+            for f in sorted(by_frame):
+                terms = [(lift_var(li), 1.0) for li in by_frame[f]] + [(node_var(v), -1.0)]
+                expected.append(milp.LinearConstraint(tuple(terms), "<=", 0.0, TAG_LIFTED_FLOW))
+    assert build_lifted_flow_inequalities(inst) == expected
 
 
 def test_the_initial_rows_do_not_depend_on_the_handle_order():
@@ -438,7 +463,8 @@ def test_both_builders_order_and_keep_rows_beside_a_direct_edge():
     for base in ([(1, 3, 0.0)] + around, around + [(1, 3, 0.0)]):
         inst = Instance(3, base, [(1, 3, -1.0)])
         assert_store_matches_the_reference(inst)
-        assert sum(row.tag == TAG_CUT_IN for row in build_initial_constraints(inst)) == 1
+        store = build_initial_constraints(inst)
+        assert sum(row.tag == TAG_SYM_LIFTED_PATH_CUT for row in store) == 1
 
 
 def test_both_builders_write_no_rows_for_the_empty_instance():
@@ -473,7 +499,9 @@ def test_large_instances_start_from_the_flow_rows_alone():
         assert list(build_initial_constraints(inst)) == flow_rows(inst)
     small = reduce_sat(SATISFIABLE_FORMULA).instance
     store = build_initial_constraints(small)
-    assert {row.tag for row in store} == {TAG_FLOW, TAG_CUT_OUT, TAG_CUT_IN, TAG_LIFTED_PATH}
+    assert {row.tag for row in store} == {
+        TAG_FLOW, TAG_LIFTED_PATH_CUT, TAG_SYM_LIFTED_PATH_CUT, TAG_LIFTED_PATH
+    }
     assert list(store)[: 2 * small.n] == flow_rows(small)
     assert_store_matches_the_reference(small)
 
