@@ -5,13 +5,19 @@ live in [0, 1] unless a caller gives other finite bounds), so every LP is
 bounded.  Each row has one slack: +1 for `<=` and `=`, -1 for `>=`, fixed at
 0 for `=`.  The crash point puts every structural at its lower bound, except
 a column no starting row touches, which starts at its cheaper bound.  The
-crash basis is diagonal: an inequality row takes its slack, an equality row
-a column with no entry in another row whose value closing the row stays in
-its box (a singleton; every tracking flow row has one), else its slack.  A
-feasible crash is solved by the primal simplex; otherwise the all-slack
-basis with every structural at its cheaper bound is dual feasible, and the
-dual simplex below starts from it.  Pricing is Dantzig's rule, switching to
-Bland's rule after 3*(m+n) degenerate pivots so cycling cannot occur.
+crash basis is triangular: an inequality row takes its slack, and equality
+rows claim structural columns in passes, each row a column whose other
+equality-row entries all lie in rows claimed in earlier passes, so no
+equality row is left on its fixed slack where such columns exist (in a flow
+master every row of a node on a source-sink route is claimed).  Back
+substitution, one pass at a time, inverts it without a factorization.  It
+is diagonal when every claimed column touches its own row alone, as in the
+flow-only masters of tracking, whose nodes all have edges from s and to t.
+A crash whose vertex is in the box is solved by the primal simplex;
+otherwise the all-slack basis with every structural at its cheaper bound is
+dual feasible, and the dual simplex below starts from it.  Pricing is
+Dantzig's rule, switching to Bland's rule after 3*(m+n) degenerate pivots so
+cycling cannot occur.
 
 A solved LP stays live: after a bound change or appended rows its basis is
 still dual feasible, and a bounded dual simplex (leaving row: the largest
@@ -326,8 +332,9 @@ class _Simplex:
     The LP's rows are `active`, indices into the store in LP row order; the
     rest of the non-empty rows are `pending`, and a caller may add store
     rows appended later to them.  LP row r's slack is column `nstruct + r`.
-    It starts from the crash basis (slacks, and singletons for equality
-    rows) when that is feasible, else from the dual-feasible slack basis.
+    It starts from the crash basis (slacks for inequality rows, claimed
+    columns for equality rows) when its vertex is in the box, else from the
+    dual-feasible slack basis.
     `restore` (a stored basis under new structural bounds) and `add_rows`
     keep the basis dual feasible.  `reoptimise`, from the start or after
     either, runs dual pivots until the basis is primal feasible, then primal
@@ -372,45 +379,64 @@ class _Simplex:
         # column moves no basic variable and changes no dual, so starting it
         # there saves a pricing pass per bound flip and changes no basis.
         struct = np.flatnonzero(cidx < n)
-        untouched = np.ones(n, dtype=bool)
-        untouched[cidx[struct]] = False
-        x0 = np.where(untouched & (c < 0), up, lo)
+        entries = np.bincount(cidx[struct], minlength=n)
+        x0 = np.where((entries == 0) & (c < 0), up, lo)
         resid = (rows.rhs - rows.lhs(x0))[self.active]
 
         # Crash basis (Bixby, ORSA J. Computing 1992): an inequality row
-        # takes its slack; an equality row a structural column with no
-        # other entry in an active row, if closing the row's residual keeps
-        # it in its box, else its fixed slack.  Each such column touches
-        # its row alone, so B stays diagonal.
-        once = np.bincount(cidx[struct], minlength=n) == 1
-        eq = senses[ridx[struct]] == _SENSE_EQ
-        k = struct[once[cidx[struct]] & eq & (data[struct] != 0)]
-        value = x0[cidx[k]] + resid[ridx[k]] / data[k]
-        fits = (lo[cidx[k]] <= value) & (value <= up[cidx[k]])
-        sing, first = np.unique(ridx[k[fits]], return_index=True)
-        k = k[fits][first]
+        # takes its slack, and equality rows claim structural columns in
+        # passes.  In each pass, an equality row still on its fixed slack
+        # takes a column with a non-zero entry in it whose other
+        # equality-row entries all lie in rows claimed in earlier passes,
+        # the column with the fewest entries first.  Such a column has no
+        # entry in a row on its slack or claimed later, so B is triangular
+        # in pass order.
         basis = n + np.arange(m)
-        basis[sing] = cidx[k]
-        binv_diag = sign.copy()  # a slack column +-e_r is its own inverse
-        binv_diag[sing] = 1.0 / data[k]
-        xB = sign * resid
-        xB[sing] = value[fits][first]
-        if ((xB < self.lo[basis]) | (xB > self.up[basis])).any():
+        pivot = sign.copy()  # B's diagonal: the claimed entries and +-1
+        passes = []  # the rows each pass claims
+        k = struct[(senses[ridx[struct]] == _SENSE_EQ) & (data[struct] != 0)]
+        k = k[np.argsort(ridx[k] * len(cidx) + entries[cidx[k]], kind="stable")]
+        er, ec, ev = ridx[k], cidx[k], data[k]  # by row, then fewest entries
+        left = np.count_nonzero(senses == _SENSE_EQ)  # equality rows on their slacks
+        while True:
+            k = (np.bincount(ec, minlength=n)[ec] == 1).nonzero()[0]
+            if not k.size:
+                break
+            claim = er[k]
+            lead = np.empty(k.size, dtype=bool)  # each row's first candidate
+            lead[0] = True
+            np.not_equal(claim[1:], claim[:-1], out=lead[1:])
+            k, claim = k[lead], claim[lead]
+            basis[claim], pivot[claim] = ec[k], ev[k]
+            passes.append(claim)
+            left -= claim.size
+            if not left:
+                break
+            k = (basis[er] >= n).nonzero()[0]  # the entries in unclaimed rows
+            er, ec, ev = er[k], ec[k], ev[k]
+        self.basis = basis
+        if (entries[basis[basis < n]] == 1).all():
+            # Each claimed column touches its own row alone: B is diagonal.
+            self.Binv, step = np.diag(1.0 / pivot), resid / pivot
+        else:
+            self.Binv = self._triangular_inverse(pivot, [(basis >= n).nonzero()[0]] + passes)
+            step = self.Binv @ resid
+        self.x = np.concatenate([x0, np.zeros(m)])
+        self.xB = self.x[basis] + step
+        if ((self.xB < self.lo[basis]) | (self.xB > self.up[basis])).any():
             # Infeasible crash: the slack basis has duals 0, so d_j = c_j, and
             # with every structural at its cheaper bound it is dual feasible:
             # `_dual` can start from it (Koberstein, The dual simplex method,
             # PhD thesis, Paderborn 2005, ch. 4).
             x0 = np.where(c < 0, up, lo)
-            basis, binv_diag = n + np.arange(m), sign
-            xB = sign * (rows.rhs - rows.lhs(x0))[self.active]
+            self.basis = n + np.arange(m)
+            self.Binv = np.diag(sign)
+            self.x[:n] = x0
+            self.xB = sign * (rows.rhs - rows.lhs(x0))[self.active]
 
-        self.basis = basis
         self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
         self.vstat[:n][x0 == up] = _AT_UPPER
-        self.vstat[basis] = _BASIC
-        self.x = np.concatenate([x0, np.zeros(m)])
-        self.Binv = np.diag(binv_diag)
-        self.xB = xB
+        self.vstat[self.basis] = _BASIC
         self.c_struct = c
         self.iterations = 0  # passes of the current solve, for its limit
         self.pivots = 0  # basis changes and bound flips over the LP's life
@@ -441,6 +467,41 @@ class _Simplex:
         flat = self.a_row[idx] * len(cols) + owner
         out = np.bincount(flat, self.a_val[idx], minlength=self.m * len(cols))
         return out.reshape(self.m, len(cols))
+
+    def _basic_block(
+        self, row: np.ndarray, col: np.ndarray, val: np.ndarray, nrows: int
+    ) -> np.ndarray:
+        """The entries (row, col, val) at the basic columns, dense: an
+        `nrows` x len(basis) array whose column k sums those of column
+        basis[k]."""
+        m = len(self.basis)
+        at = np.full(self.ncols, -1)
+        at[self.basis] = np.arange(m)
+        k = at[col]
+        keep = k >= 0
+        flat = row[keep] * m + k[keep]
+        return np.bincount(flat, val[keep], minlength=nrows * m).reshape(nrows, m)
+
+    def _triangular_inverse(self, pivot: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+        """Binv of a basis whose column basis[k] has the entry pivot[k] in
+        row k and its other entries in rows of earlier `levels` (a partition
+        of the rows).  Row k of B Binv = I reads pivot[k] Binv[k] = e_k -
+        B[k, later] @ Binv[later], for the rows of later levels, so back
+        substitution solves the levels from the last one.  With the slack
+        rows (+-e_k columns) as the first level, its step is the block
+        formula of `add_rows`."""
+        m = self.m
+        order = np.concatenate(levels[::-1])  # the last level first
+        b = self._basic_block(self.a_row, self.a_col, self.a_val, m)[order][:, order]
+        b /= pivot[order, None]
+        binv = np.zeros((m, m))  # row i is Binv[order[i]]
+        binv[np.arange(m), order] = 1.0 / pivot[order]
+        done = len(levels[-1])
+        for rows in levels[-2::-1]:
+            binv[done : done + len(rows)] -= b[done : done + len(rows), :done] @ binv[:done]
+            done += len(rows)
+        binv[order] = binv.copy()
+        return binv
 
     def _ftran(self, j: int) -> np.ndarray:
         """Binv a_j, from the columns of Binv at the rows of a_j's entries."""
@@ -486,6 +547,8 @@ class _Simplex:
         if not self.ncols:
             return "optimal"  # no column to price
         movable = (self.up - self.lo) > 0
+        # The sign of a move off each column's bound, 0 where it cannot move.
+        direction = _DIRECTION[self.vstat] * movable
         pi = None  # the duals c_B Binv: updated per pivot, recomputed when None
         while True:
             if self.iterations >= self.iteration_limit:
@@ -500,18 +563,18 @@ class _Simplex:
 
             d = c - self._products(pi)
             # -|d_j| where moving x_j off its bound lowers the objective.
-            score = d * _DIRECTION[self.vstat] * movable
-            j = int(np.argmin(score))
+            score = d * direction
+            j = int(score.argmin())
             if score[j] >= -_TOL_PRICE:
                 if fresh:
                     return "optimal"
                 pi = None  # rule out drift before reporting an optimum
                 continue
             if self.bland:
-                j = int(np.flatnonzero(score < -_TOL_PRICE)[0])
+                j = int((score < -_TOL_PRICE).nonzero()[0][0])
             s_dir = 1.0 if self.vstat[j] == _AT_LOWER else -1.0
             col = self._ftran(j)
-            nz = np.flatnonzero(col)
+            nz = col.nonzero()[0]
             delta = s_dir * col[nz]
             basic = self.basis[nz]
 
@@ -522,7 +585,7 @@ class _Simplex:
             t_rows[np.abs(delta) <= _TOL_PIVOT] = np.inf
             t_min_rows = float(t_rows.min(initial=np.inf))
             t = min(t_min_rows, self.up[j] - self.lo[j])
-            if not np.isfinite(t):  # every structural is boxed: only drift gets here
+            if not math.isfinite(t):  # every structural is boxed: only drift gets here
                 raise MilpError("unbounded step in a boxed LP")
             if t <= 1e-12:
                 self.degenerate += 1
@@ -533,18 +596,21 @@ class _Simplex:
             if t < t_min_rows:  # x_j flips to its opposite bound
                 self.x[j] = self.up[j] if self.vstat[j] == _AT_LOWER else self.lo[j]
                 self.vstat[j] = _AT_UPPER if self.vstat[j] == _AT_LOWER else _AT_LOWER
+                direction[j] = -direction[j]
                 self.pivots += 1
                 continue
-            ties = np.flatnonzero(t_rows <= t_min_rows + 1e-12)
-            k = int(ties[np.argmin(basic[ties])])
+            ties = (t_rows <= t_min_rows + 1e-12).nonzero()[0]
+            k = int(ties[basic[ties].argmin()])
             leave_row = int(nz[k])
             old = basic[k]
             leaves_at_lower = delta[k] > 0
             self.x[old] = self.lo[old] if leaves_at_lower else self.up[old]
             self.vstat[old] = _AT_LOWER if leaves_at_lower else _AT_UPPER
+            direction[old] = _DIRECTION[self.vstat[old]] * movable[old]
             entering_val = self.x[j] + s_dir * t
             self.basis[leave_row] = j
             self.vstat[j] = _BASIC
+            direction[j] = 0.0
             pi += (d[j] / col[leave_row]) * self.Binv[leave_row]
             self._pivot(leave_row, col, nz)
             self.xB[leave_row] = entering_val
@@ -553,13 +619,14 @@ class _Simplex:
         """Bounded dual simplex: from a dual-feasible basis, pivot out bound
         violations until the basis is primal feasible too."""
         movable = (self.up - self.lo) > 0
+        direction = _DIRECTION[self.vstat] * movable  # as in `_phase`
         d = None  # the reduced costs: updated per pivot, recomputed when None
         while True:
             lo_b = self.lo[self.basis]
             up_b = self.up[self.basis]
             below = lo_b - self.xB
             infeas = np.maximum(below, self.xB - up_b)
-            rows = np.flatnonzero(infeas > _TOL_FEAS)
+            rows = (infeas > _TOL_FEAS).nonzero()[0]
             if rows.size == 0:
                 return "optimal"
             if self.iterations >= self.iteration_limit:
@@ -572,22 +639,21 @@ class _Simplex:
             if d is None:
                 d = c - self._products(c[self.basis] @ self.Binv)
             if self.bland:
-                r = int(rows[np.argmin(self.basis[rows])])
+                r = int(rows[self.basis[rows].argmin()])
             else:
-                r = int(rows[np.argmax(infeas[rows])])
+                r = int(rows[infeas[rows].argmax()])
             to_lower = below[r] > 0
             alpha = self._products(self.Binv[r])
             # Raising x_j moves x_B[r] by -alpha_j; `gain` > 0 means moving
             # x_j off its bound moves x_B[r] toward the bound it violates.
-            direction = _DIRECTION[self.vstat] * movable
             gain = (-alpha if to_lower else alpha) * direction
-            idx = np.flatnonzero(gain > _TOL_PIVOT)
+            idx = (gain > _TOL_PIVOT).nonzero()[0]
             if idx.size == 0:
                 return "infeasible"  # row r cannot reach its bound within the box
             ratios = np.maximum(d[idx] * direction[idx], 0.0) / np.abs(alpha[idx])
             t_min = float(ratios.min())
             ties = idx[ratios <= t_min + 1e-12]
-            q = int(ties[0] if self.bland else ties[np.argmax(np.abs(alpha[ties]))])
+            q = int(ties[0] if self.bland else ties[np.abs(alpha[ties]).argmax()])
             if t_min <= 1e-12:
                 self.degenerate += 1
                 if self.degenerate > self.bland_threshold:
@@ -602,13 +668,15 @@ class _Simplex:
             target = lo_b[r] if to_lower else up_b[r]
             step = (self.xB[r] - target) / col[r]  # change in x_q
             entering_val = self.x[q] + step
-            nz = np.flatnonzero(col)
+            nz = col.nonzero()[0]
             self.xB[nz] -= step * col[nz]
             old = self.basis[r]
             self.x[old] = target
             self.vstat[old] = _AT_LOWER if to_lower else _AT_UPPER
+            direction[old] = _DIRECTION[self.vstat[old]] * movable[old]
             self.basis[r] = q
             self.vstat[q] = _BASIC
+            direction[q] = 0.0
             self._pivot(r, col, nz)
             self.xB[r] = entering_val
 
@@ -660,7 +728,7 @@ class _Simplex:
         # [[B, 0], [N, S]]^-1 = [[B^-1, 0], [-S N B^-1, S]] for S = diag(+-1).
         binv = np.zeros((self.m, self.m))
         binv[:m0, :m0] = self.Binv
-        binv[m0:, :m0] = -sign[:, None] * (self._columns(self.basis)[m0:] @ self.Binv)
+        binv[m0:, :m0] = -sign[:, None] * (self._basic_block(ridx, cidx, data, k) @ self.Binv)
         binv[m0:, m0:] = np.diag(sign)
         self.Binv = binv
         self.xB = np.concatenate([self.xB, slack])

@@ -13,9 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from generators import framed_instance, interval_instance
+from generators import framed_instance, interval_instance, random_formula, random_instance
 from liftedpaths import milp
-from liftedpaths.driver import build_initial_constraints, master_variables
+from liftedpaths.driver import build_initial_constraints, master_variables, solve
 from liftedpaths.milp import (
     LinearConstraint,
     VariableHandle,
@@ -23,6 +23,7 @@ from liftedpaths.milp import (
     solve_binary,
     solve_lp,
 )
+from liftedpaths.reductions import reduce_sat
 
 SEEDS = st.integers(0, 10_000)
 
@@ -789,21 +790,30 @@ def test_an_infeasible_crash_starts_the_dual_simplex_from_the_slack_basis():
     flow = list(build_initial_constraints(inst))
     # Stage 1's master starts from its flow rows alone.  Each row has a
     # column no other row touches (s->v in v's in-row, v->t in its out-row),
-    # so the crash basis is all structural.
+    # so the first pass claims every row and B is diagonal.
     interval = interval_instance()
     interval_vars, interval_costs = master_variables(interval)
     interval_rows = list(build_initial_constraints(interval))
     assert {row.sense for row in interval_rows} == {"="}
-    a, b, c = handles(3)
+    a, b, c, e = handles(4)
     infeasible_crash = [
         LinearConstraint(((a, 1.0), (b, 1.0)), ">=", 1.0, "t"),
         LinearConstraint(((b, 1.0), (c, 2.0)), "=", 1.5, "t"),
         LinearConstraint(((a, 1.0), (c, -1.0)), "<=", 0.5, "t"),
     ]
+    # The first pass claims the first row with a and the third with e; b
+    # claims the middle row in the second pass, at b = 1.5, out of its box,
+    # while a = 0.5 and e = 1 stay in theirs.  Yet b + c = 1.5 is feasible.
+    second_pass_leaves_the_box = [
+        LinearConstraint(((a, 1.0), (b, -1.0)), "=", -1.0, "t"),
+        LinearConstraint(((b, 2.0), (c, 2.0)), "=", 3.0, "t"),
+        LinearConstraint(((c, 1.0), (e, 1.0)), "=", 1.0, "t"),
+    ]
     cases = [
         (variables, costs, flow, "feasible"),  # every flow row holds at x = 0
         (interval_vars, interval_costs, interval_rows, "structural"),
         ([a, b, c], [1.0, -1.0, 2.0], infeasible_crash, "slack"),
+        ([a, b, c, e], [1.0, -1.0, 2.0, 1.0], second_pass_leaves_the_box, "slack"),
     ]
     for vs, objective, rows, start in cases:
         n = len(vs)
@@ -814,6 +824,7 @@ def test_an_infeasible_crash_starts_the_dual_simplex_from_the_slack_basis():
         assert feasible == (start != "slack")
         if start == "structural":
             assert lp.m == len(rows) and (lp.basis < n).all()
+            assert np.array_equal(lp.Binv, np.diag(np.diag(lp.Binv)))
         if start == "slack":
             # Dual feasible: each structural sits at its cheaper bound.
             assert lp.basis.tolist() == list(range(n, n + lp.m))
@@ -822,3 +833,92 @@ def test_an_infeasible_crash_starts_the_dual_simplex_from_the_slack_basis():
         ref = oracles.lp_reference(vs, objective.tolist(), rows)
         assert ref.status == 0
         assert float(objective @ lp.structural_values()) == pytest.approx(ref.fun, abs=1e-9)
+
+
+def shared_column_rows(rng):
+    """Equality rows over 1-4 of 3-10 columns each, so that they share
+    columns and a row is often claimed only after others; one in five
+    repeats a handle.  Then 0-3 inequality rows.  Every right-hand side is 0."""
+    vs = handles(rng.randint(3, 10))
+    rows = []
+    for count, senses in ((rng.randint(1, len(vs)), ("=",)), (rng.randint(0, 3), ("<=", ">="))):
+        for _ in range(count):
+            picked = rng.sample(vs, rng.randint(1, min(4, len(vs))))
+            if rng.random() < 0.2:
+                picked.append(picked[0])
+            terms = tuple((h, float(rng.choice((-2, -1, 1, 2, 3)))) for h in picked)
+            rows.append(LinearConstraint(terms, rng.choice(senses), 0.0, "t"))
+    return vs, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS)
+def test_the_crash_inverse_matches_a_dense_inverse(seed):
+    """With right-hand sides 0 the crash vertex is 0, in the box.  Right-hand
+    sides that put the same basis at a random point of the box leave nonzero
+    residuals at the crash point; the crash then reaches that point, and its
+    Binv and xB match a dense inverse and a full refactor to 1e-9."""
+    rng = random.Random(seed)
+    vs, rows = shared_column_rows(rng)
+    n = len(vs)
+
+    def crash(rows):
+        return milp._Simplex(np.zeros(n), milp._row_store(vs, rows), np.zeros(n), np.ones(n))
+
+    zero = crash(rows)
+    assert not zero.xB.any()
+    structural = zero.basis < n
+    point = np.zeros(n)
+    point[zero.basis[structural]] = [rng.uniform(0.1, 0.9) for _ in range(structural.sum())]
+    expected = np.zeros(len(rows))  # xB: the point, and the slacks drawn below
+    expected[structural] = point[zero.basis[structural]]
+    shifted = []
+    for r, row in enumerate(rows):
+        rhs = math.fsum(coef * point[h.index] for h, coef in row.terms)
+        if row.sense != "=":  # inequality rows keep their slacks
+            expected[r] = rng.uniform(0.0, 2.0)
+            rhs += expected[r] if row.sense == "<=" else -expected[r]
+        shifted.append(LinearConstraint(row.terms, row.sense, rhs, row.tag))
+    lp = crash(shifted)
+    assert np.array_equal(lp.basis, zero.basis)
+    np.testing.assert_allclose(
+        lp.Binv, np.linalg.inv(lp._columns(lp.basis)), rtol=0, atol=1e-9
+    )
+    crash_xb = lp.xB.copy()
+    np.testing.assert_allclose(crash_xb, expected, rtol=0, atol=1e-9)
+    lp._refactor()
+    np.testing.assert_allclose(crash_xb, lp.xB, rtol=0, atol=1e-9)
+
+
+def test_no_master_equality_row_starts_on_its_fixed_slack():
+    """Every node of these instances lies on a source-sink route, so the
+    passes claim every flow row: s->v and v->t first, then along the routes."""
+    rng = random.Random(5)
+    instances = [random_instance(rng) for _ in range(40)]
+    instances += [reduce_sat(random_formula(rng)).instance for _ in range(40)]
+    for inst in instances:
+        vs, costs = master_variables(inst)
+        rows = milp._row_store(vs, list(build_initial_constraints(inst)))
+        n = len(vs)
+        lp = milp._Simplex(np.asarray(costs), rows, np.zeros(n), np.ones(n))
+        eq = rows.sense[lp.active] == milp._SENSE_EQ
+        assert eq.any() and (lp.basis[eq] < n).all()
+
+
+def test_round_one_masters_need_fewer_pivots_than_flow_rows():
+    """An equality row left on its fixed slack costs a degenerate pivot to
+    expel it.  With every flow row claimed, round 1 of 20 random 5-clause
+    formulas over 6 variables takes fewer master pivots than those formulas
+    have equality rows."""
+    rng = random.Random(0)
+    pivots = equalities = 0
+    for _ in range(20):
+        clauses = [
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 7), 3))
+            for _ in range(5)
+        ]
+        inst = reduce_sat(clauses).instance
+        equalities += sum(row.sense == "=" for row in build_initial_constraints(inst))
+        pivots += solve(inst).trace[0].master_pivots
+    assert equalities == 600
+    assert pivots < equalities
