@@ -9,10 +9,12 @@ crash basis is triangular: an inequality row takes its slack, and equality
 rows claim structural columns in passes, each row a column whose other
 equality-row entries all lie in rows claimed in earlier passes, so no
 equality row is left on its fixed slack where such columns exist (in a flow
-master every row of a node on a source-sink route is claimed).  Back
-substitution, one pass at a time, inverts it without a factorization.  It
-is diagonal when every claimed column touches its own row alone, as in the
-flow-only masters of tracking, whose nodes all have edges from s and to t.
+master every row of a node on a source-sink route is claimed).  One
+routine, `_Simplex._refactor`, inverts every basis from scratch: the basic
+columns with a single non-zero (every basic slack, and a structural
+touching one row) are divided out, and only the kernel of the other columns
+goes to LAPACK.  In the flow-only masters of tracking, whose nodes all have
+edges from s and to t, the crash kernel is usually empty.
 A crash whose vertex is in the box is solved by the primal simplex;
 otherwise the all-slack basis with every structural at its cheaper bound is
 dual feasible, and the dual simplex below starts from it.  Pricing is
@@ -54,7 +56,7 @@ inverse.  Per pivot, pricing costs O(non-zeros); the entering column
 B^-1 a_j reads only the inverse's columns at a_j's rows; the duals (primal)
 or reduced costs (dual) are updated by one multiple of the pivot row; and
 the ratio test, the step and the inverse update touch only the rows where
-B^-1 a_j is non-zero.  The inverse is rebuilt densely every
+B^-1 a_j is non-zero.  The inverse is rebuilt by `_refactor` every
 256 basis changes, and a node that restores the live basis keeps it.
 """
 
@@ -334,7 +336,8 @@ class _Simplex:
     rows appended later to them.  LP row r's slack is column `nstruct + r`.
     It starts from the crash basis (slacks for inequality rows, claimed
     columns for equality rows) when its vertex is in the box, else from the
-    dual-feasible slack basis.
+    dual-feasible slack basis; `_refactor` inverts either, as it inverts
+    every basis from scratch (`add_rows` extends the live inverse).
     `restore` (a stored basis under new structural bounds) and `add_rows`
     keep the basis dual feasible.  `reoptimise`, from the start or after
     either, runs dual pivots until the basis is primal feasible, then primal
@@ -372,7 +375,6 @@ class _Simplex:
         self._set_entries(ridx, cidx, data)
         self.lo = np.concatenate([lo, np.zeros(m)])
         self.up = np.concatenate([up, _SLACK_UP[senses]])
-        sign = _SLACK_SIGN[senses]
 
         # Crash point: every structural sits on its lower bound, except that
         # a column no active row touches sits on its cheaper bound.  Such a
@@ -381,7 +383,6 @@ class _Simplex:
         struct = np.flatnonzero(cidx < n)
         entries = np.bincount(cidx[struct], minlength=n)
         x0 = np.where((entries == 0) & (c < 0), up, lo)
-        resid = (rows.rhs - rows.lhs(x0))[self.active]
 
         # Crash basis (Bixby, ORSA J. Computing 1992): an inequality row
         # takes its slack, and equality rows claim structural columns in
@@ -390,13 +391,11 @@ class _Simplex:
         # equality-row entries all lie in rows claimed in earlier passes,
         # the column with the fewest entries first.  Such a column has no
         # entry in a row on its slack or claimed later, so B is triangular
-        # in pass order.
+        # in pass order, hence non-singular.
         basis = n + np.arange(m)
-        pivot = sign.copy()  # B's diagonal: the claimed entries and +-1
-        passes = []  # the rows each pass claims
         k = struct[(senses[ridx[struct]] == _SENSE_EQ) & (data[struct] != 0)]
         k = k[np.argsort(ridx[k] * len(cidx) + entries[cidx[k]], kind="stable")]
-        er, ec, ev = ridx[k], cidx[k], data[k]  # by row, then fewest entries
+        er, ec = ridx[k], cidx[k]  # by row, then fewest entries
         left = np.count_nonzero(senses == _SENSE_EQ)  # equality rows on their slacks
         while True:
             k = (np.bincount(ec, minlength=n)[ec] == 1).nonzero()[0]
@@ -407,22 +406,15 @@ class _Simplex:
             lead[0] = True
             np.not_equal(claim[1:], claim[:-1], out=lead[1:])
             k, claim = k[lead], claim[lead]
-            basis[claim], pivot[claim] = ec[k], ev[k]
-            passes.append(claim)
+            basis[claim] = ec[k]
             left -= claim.size
             if not left:
                 break
             k = (basis[er] >= n).nonzero()[0]  # the entries in unclaimed rows
-            er, ec, ev = er[k], ec[k], ev[k]
+            er, ec = er[k], ec[k]
         self.basis = basis
-        if (entries[basis[basis < n]] == 1).all():
-            # Each claimed column touches its own row alone: B is diagonal.
-            self.Binv, step = np.diag(1.0 / pivot), resid / pivot
-        else:
-            self.Binv = self._triangular_inverse(pivot, [(basis >= n).nonzero()[0]] + passes)
-            step = self.Binv @ resid
         self.x = np.concatenate([x0, np.zeros(m)])
-        self.xB = self.x[basis] + step
+        self._refactor()
         if ((self.xB < self.lo[basis]) | (self.xB > self.up[basis])).any():
             # Infeasible crash: the slack basis has duals 0, so d_j = c_j, and
             # with every structural at its cheaper bound it is dual feasible:
@@ -430,9 +422,8 @@ class _Simplex:
             # PhD thesis, Paderborn 2005, ch. 4).
             x0 = np.where(c < 0, up, lo)
             self.basis = n + np.arange(m)
-            self.Binv = np.diag(sign)
             self.x[:n] = x0
-            self.xB = sign * (rows.rhs - rows.lhs(x0))[self.active]
+            self._refactor()
 
         self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
         self.vstat[:n][x0 == up] = _AT_UPPER
@@ -440,7 +431,6 @@ class _Simplex:
         self.c_struct = c
         self.iterations = 0  # passes of the current solve, for its limit
         self.pivots = 0  # basis changes and bound flips over the LP's life
-        self.updates = 0  # basis changes since Binv was last inverted
         self.degenerate = 0
         self.bland = False
         self.bland_threshold = 3 * (m + self.nstruct)
@@ -457,17 +447,6 @@ class _Simplex:
         self.a_row, self.a_col, self.a_val = row[order], col[order], val[order]
         self.a_ptr = np.searchsorted(self.a_col, np.arange(self.ncols + 1))
 
-    def _columns(self, cols: np.ndarray) -> np.ndarray:
-        """The LP matrix's columns `cols`, dense; a repeated entry adds up."""
-        start = self.a_ptr[cols]
-        lens = self.a_ptr[cols + 1] - start
-        # The positions of the entries of cols[0], then of cols[1], ...
-        owner = np.repeat(np.arange(len(cols)), lens)
-        idx = np.arange(owner.size) + np.repeat(start - np.cumsum(lens) + lens, lens)
-        flat = self.a_row[idx] * len(cols) + owner
-        out = np.bincount(flat, self.a_val[idx], minlength=self.m * len(cols))
-        return out.reshape(self.m, len(cols))
-
     def _basic_block(
         self, row: np.ndarray, col: np.ndarray, val: np.ndarray, nrows: int
     ) -> np.ndarray:
@@ -481,27 +460,6 @@ class _Simplex:
         keep = k >= 0
         flat = row[keep] * m + k[keep]
         return np.bincount(flat, val[keep], minlength=nrows * m).reshape(nrows, m)
-
-    def _triangular_inverse(self, pivot: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
-        """Binv of a basis whose column basis[k] has the entry pivot[k] in
-        row k and its other entries in rows of earlier `levels` (a partition
-        of the rows).  Row k of B Binv = I reads pivot[k] Binv[k] = e_k -
-        B[k, later] @ Binv[later], for the rows of later levels, so back
-        substitution solves the levels from the last one.  With the slack
-        rows (+-e_k columns) as the first level, its step is the block
-        formula of `add_rows`."""
-        m = self.m
-        order = np.concatenate(levels[::-1])  # the last level first
-        b = self._basic_block(self.a_row, self.a_col, self.a_val, m)[order][:, order]
-        b /= pivot[order, None]
-        binv = np.zeros((m, m))  # row i is Binv[order[i]]
-        binv[np.arange(m), order] = 1.0 / pivot[order]
-        done = len(levels[-1])
-        for rows in levels[-2::-1]:
-            binv[done : done + len(rows)] -= b[done : done + len(rows), :done] @ binv[:done]
-            done += len(rows)
-        binv[order] = binv.copy()
-        return binv
 
     def _ftran(self, j: int) -> np.ndarray:
         """Binv a_j, from the columns of Binv at the rows of a_j's entries."""
@@ -518,10 +476,34 @@ class _Simplex:
         return c
 
     def _refactor(self) -> None:
-        try:
-            self.Binv = np.linalg.solve(self._columns(self.basis), np.eye(self.m))
-        except np.linalg.LinAlgError as exc:
-            raise MilpError(f"singular basis during refactorization: {exc}") from None
+        """Invert the basis afresh (Suhl & Suhl, ORSA J. Computing 1990).
+        Each basic column with a single non-zero (every basic slack, and a
+        structural touching one row) is divided out, and only the kernel K
+        of the other columns and rows goes to LAPACK: ordered kernel first,
+        B = [[K, 0], [N, D]] for a diagonal D, so its inverse is
+        [[K^-1, 0], [-D^-1 N K^-1, D^-1]], each block scattered back to the
+        basis positions and rows it stands for."""
+        m = self.m
+        b = self._basic_block(self.a_row, self.a_col, self.a_val, m)
+        nz = b != 0
+        single = nz.sum(axis=0) == 1
+        cols, kcols = single.nonzero()[0], (~single).nonzero()[0]
+        at = nz[:, cols].T.nonzero()[1]  # each singleton's row
+        free = np.ones(m, dtype=bool)
+        free[at] = False
+        krows = free.nonzero()[0]
+        if len(krows) != len(kcols):
+            raise MilpError("singular basis: two singleton columns share a row")
+        d = b[at, cols]
+        self.Binv = np.zeros((m, m))
+        self.Binv[cols, at] = 1.0 / d
+        if len(kcols):
+            try:
+                kinv = np.linalg.inv(b[krows][:, kcols])
+            except np.linalg.LinAlgError as exc:
+                raise MilpError(f"singular basis: {exc}") from None
+            self.Binv[kcols[:, None], krows] = kinv
+            self.Binv[cols[:, None], krows] = (b[at][:, kcols] / -d[:, None]) @ kinv
         self.updates = 0
         self._basic_values()
 

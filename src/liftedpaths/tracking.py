@@ -62,6 +62,23 @@ PairCosts = dict[tuple[Detection, Detection], float]
 _EPS = 1e-9
 
 
+def _entry_problem(kind: str, entries) -> str | None:
+    """What is wrong with the first invalid of `entries`, (key, value) pairs
+    of a `base` or `lift` cost table (a pair of detections and its cost) or
+    of `gt` labels (a detection and its label); None when nothing is."""
+    if kind == "gt":
+        for d, label in entries:
+            if label < 0:
+                return f"label of {d} must be >= 0"
+        return None
+    for (u, v), c in entries:
+        if v[0] <= u[0]:
+            return f"{kind} cost {u}->{v} must point to a later frame"
+        if not math.isfinite(c):
+            return f"{kind} cost {u}->{v} is not finite"
+    return None
+
+
 @dataclass(frozen=True)
 class CostTable:
     """Pairwise linking costs plus optional ground-truth labels."""
@@ -71,17 +88,10 @@ class CostTable:
     labels: dict[Detection, int]
 
     def __post_init__(self):
-        for name, table in (("base", self.base), ("lift", self.lift)):
-            for (u, v), c in table.items():
-                if v[0] <= u[0]:
-                    raise ValueError(
-                        f"{name} cost {u}->{v} must point to a later frame"
-                    )
-                if not math.isfinite(c):
-                    raise ValueError(f"{name} cost {u}->{v} is not finite")
-        for d, label in self.labels.items():
-            if label < 0:
-                raise ValueError(f"label of {d} must be >= 0")
+        for kind, table in (("base", self.base), ("lift", self.lift), ("gt", self.labels)):
+            problem = _entry_problem(kind, table.items())
+            if problem:
+                raise ValueError(problem)
 
     @property
     def detections(self) -> tuple[Detection, ...]:
@@ -101,38 +111,36 @@ def parse_costs(text: str) -> CostTable:
     base: PairCosts = {}
     lift: PairCosts = {}
     labels: dict[Detection, int] = {}
+    tables = {"base": base, "lift": lift, "gt": labels}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
+        kind = parts[0]
+        if kind not in tables or len(parts) != (4 if kind == "gt" else 6):
+            raise InstanceFormatError(
+                f"expected 'base/lift f1 i1 f2 i2 c' or 'gt f i label', got {line!r}", ln
+            )
         try:
-            if parts[0] in ("base", "lift") and len(parts) == 6:
-                u = (int(parts[1]), int(parts[2]))
-                v = (int(parts[3]), int(parts[4]))
-                cost = float(parts[5])
-                table = base if parts[0] == "base" else lift
-                if (u, v) in table:
-                    raise InstanceFormatError(f"duplicate {parts[0]} cost {u}->{v}", ln)
-                table[(u, v)] = cost
-                continue
-            if parts[0] == "gt" and len(parts) == 4:
-                d = (int(parts[1]), int(parts[2]))
-                if d in labels:
-                    raise InstanceFormatError(f"duplicate label for {d}", ln)
-                labels[d] = int(parts[3])
-                continue
-        except ValueError as exc:
-            if isinstance(exc, InstanceFormatError):
-                raise
+            if kind == "gt":
+                key, value = (int(parts[1]), int(parts[2])), int(parts[3])
+            else:
+                key = ((int(parts[1]), int(parts[2])), (int(parts[3]), int(parts[4])))
+                value = float(parts[5])
+        except ValueError:
             raise InstanceFormatError(f"bad field in {line!r}", ln) from None
-        raise InstanceFormatError(
-            f"expected 'base/lift f1 i1 f2 i2 c' or 'gt f i label', got {line!r}", ln
-        )
-    try:
-        return CostTable(base=base, lift=lift, labels=labels)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc), 0) from None
+        table = tables[kind]
+        if key not in table:
+            problem = _entry_problem(kind, [(key, value)])
+        elif kind == "gt":
+            problem = f"duplicate label for {key}"
+        else:
+            problem = f"duplicate {kind} cost {key[0]}->{key[1]}"
+        if problem:
+            raise InstanceFormatError(problem, ln)
+        table[key] = value
+    return CostTable(base=base, lift=lift, labels=labels)
 
 
 @dataclass(frozen=True)

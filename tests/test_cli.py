@@ -311,6 +311,28 @@ def test_track_rejects_an_interval_length_below_one(tmp_path, flag, value, messa
     assert err == f"error: {message}\n"
 
 
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param(
+            "base 1 0 1 1 1.0", "base cost (1, 0)->(1, 1) must point to a later frame",
+            id="same-frame",
+        ),
+        pytest.param("lift 0 0 2 1 inf", "lift cost (0, 0)->(2, 1) is not finite", id="inf"),
+        pytest.param("gt 3 0 -1", "label of (3, 0) must be >= 0", id="negative-label"),
+    ],
+)
+def test_track_names_the_line_of_an_invalid_cost_entry(tmp_path, line, message):
+    scene = tmp_path / "scene.cost"
+    scene.write_text(SCENE_TEXT + line + "\n")
+    code, out, err = run_cli("track", str(scene))
+    assert code == 2
+    assert out == ""
+    lines = len(SCENE_TEXT.splitlines()) + 1
+    assert err == f"error: line {lines}, column 1: {message}\n"
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

@@ -320,7 +320,7 @@ def test_restore_keeps_the_inverse_of_the_live_basis_alone(seed):
 
 def exact_reduced_costs(lp, c):
     """c - c_B B^-1 A, from a fresh inverse of the basis."""
-    return c - lp._products(c[lp.basis] @ np.linalg.inv(lp._columns(lp.basis)))
+    return c - lp._products(c[lp.basis] @ np.linalg.inv(dense_basis(lp)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -722,15 +722,21 @@ def reference_matrix(store, active, appended, nstruct):
     return a
 
 
+def dense_basis(lp):
+    """The live LP's basic columns, dense, from `reference_matrix`."""
+    return reference_matrix(lp.rows, lp.active, [], lp.nstruct)[:, lp.basis]
+
+
 def assert_kernels_match(simplex, a, rng):
     assert (simplex.m, simplex.ncols) == a.shape
     y = np.array([rng.uniform(-2, 2) for _ in range(simplex.m)])
     np.testing.assert_allclose(simplex._products(y), y @ a, rtol=0, atol=1e-12)
-    cols = np.array(rng.sample(range(simplex.ncols), rng.randint(0, simplex.ncols)), dtype=np.int64)
-    np.testing.assert_array_equal(simplex._columns(cols), a[:, cols])
-    np.testing.assert_allclose(
-        simplex.Binv @ a[:, simplex.basis], np.eye(simplex.m), rtol=0, atol=1e-12
+    basis = dense_basis(simplex)
+    np.testing.assert_array_equal(basis, a[:, simplex.basis])
+    np.testing.assert_array_equal(
+        simplex._basic_block(simplex.a_row, simplex.a_col, simplex.a_val, simplex.m), basis
     )
+    np.testing.assert_allclose(simplex.Binv @ basis, np.eye(simplex.m), rtol=0, atol=1e-12)
     for j in range(simplex.ncols):
         np.testing.assert_allclose(simplex._ftran(j), simplex.Binv @ a[:, j], rtol=0, atol=1e-12)
 
@@ -881,13 +887,87 @@ def test_the_crash_inverse_matches_a_dense_inverse(seed):
         shifted.append(LinearConstraint(row.terms, row.sense, rhs, row.tag))
     lp = crash(shifted)
     assert np.array_equal(lp.basis, zero.basis)
-    np.testing.assert_allclose(
-        lp.Binv, np.linalg.inv(lp._columns(lp.basis)), rtol=0, atol=1e-9
-    )
+    np.testing.assert_allclose(lp.Binv, np.linalg.inv(dense_basis(lp)), rtol=0, atol=1e-9)
     crash_xb = lp.xB.copy()
     np.testing.assert_allclose(crash_xb, expected, rtol=0, atol=1e-9)
     lp._refactor()
     np.testing.assert_allclose(crash_xb, lp.xB, rtol=0, atol=1e-9)
+
+
+def mixed_basis(rng, kernel, singletons, slacks):
+    """An LP of kernel + singletons + slacks rows and a basis in random
+    positions: `kernel` structural columns with a non-zero in every kernel
+    row (a column-wise diagonally dominant block there, so non-singular)
+    and random entries elsewhere, `singletons` structural columns that
+    touch one row each, and the slacks of the other rows.  One or two
+    non-basic columns touch every row, so no row is empty; one term in
+    five is split into two terms of the same handle."""
+    m = kernel + singletons + slacks
+    rows = rng.sample(range(m), m)
+    krows, srows = rows[:kernel], rows[kernel : kernel + singletons]
+    n = kernel + singletons + rng.randint(1, 2)
+    coef = np.zeros((m, n))
+    for j, r in enumerate(krows):
+        coef[:, j] = [rng.choice((-2, -1, 0, 1, 2)) for _ in range(m)]
+        coef[krows, j] = [rng.choice((-2, -1, 1, 2)) for _ in krows]
+        coef[r, j] = rng.choice((-1, 1)) * (2 * kernel + 1)
+    for j, r in enumerate(srows, start=kernel):
+        coef[r, j] = rng.choice((-3, -2, -1, 1, 2, 3))
+    coef[:, kernel + singletons :] = [
+        [rng.choice((-2, -1, 1, 2)) for _ in range(kernel + singletons, n)] for _ in range(m)
+    ]
+    vs = handles(n)
+    constraints = []
+    for r in range(m):
+        terms = []
+        for j in coef[r].nonzero()[0]:
+            c = float(coef[r, j])
+            terms += [(vs[j], c / 2), (vs[j], c / 2)] if rng.random() < 0.2 else [(vs[j], c)]
+        sense = rng.choice(("<=", ">=", "="))
+        constraints.append(LinearConstraint(tuple(terms), sense, float(rng.randint(-2, 2)), "t"))
+    lp = milp._Simplex(np.zeros(n), milp._row_store(vs, constraints), np.zeros(n), np.ones(n))
+    basic = list(range(kernel + singletons)) + [n + r for r in rows[kernel + singletons :]]
+    lp.basis = np.array(rng.sample(basic, m), dtype=np.int64)
+    lp.x = np.array([rng.uniform(0.0, 1.0) for _ in range(lp.ncols)])
+    return lp
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_refactor_inverts_bases_of_slacks_singletons_and_a_kernel(seed):
+    """The all-slack basis, one whose kernel is empty, and a mix with a
+    kernel of 2-6 columns: Binv matches a dense inverse to 1e-9, and xB
+    solves B xB = b - N x_N."""
+    rng = random.Random(seed)
+    k, s, r = rng.randint(2, 6), rng.randint(0, 5), rng.randint(0, 5)  # kernel, singletons, slacks
+    for sizes in ((0, 0, k + s + r), (0, s + 1, r), (k, s, r)):
+        lp = mixed_basis(rng, *sizes)
+        lp._refactor()
+        np.testing.assert_allclose(lp.Binv, np.linalg.inv(dense_basis(lp)), rtol=0, atol=1e-9)
+        x = lp.x.copy()
+        x[lp.basis] = lp.xB
+        a = reference_matrix(lp.rows, lp.active, [], lp.nstruct)
+        np.testing.assert_allclose(a @ x, lp.rows.rhs[lp.active], rtol=0, atol=1e-9)
+
+
+def test_refactor_refuses_singular_bases():
+    """Two singleton columns in one row, a singular kernel, and a basic
+    column whose repeated entries cancel each raise `MilpError`."""
+    a, b, c, d = vs = handles(4)
+    rows = [
+        LinearConstraint(((a, 1.0), (c, 1.0)), "<=", 1.0, "t"),
+        LinearConstraint(((b, 1.0), (c, 1.0), (d, 1.0), (d, -1.0)), "<=", 1.0, "t"),
+        LinearConstraint(((b, 2.0), (c, 2.0)), "<=", 1.0, "t"),
+    ]
+    lp = milp._Simplex(np.zeros(4), milp._row_store(vs, rows), np.zeros(4), np.ones(4))
+    for basis, message in (
+        ([0, 4, 6], "two singleton columns share a row"),  # a and row 0's slack
+        ([4, 1, 2], "singular basis: Singular matrix"),  # b and c on rows 1 and 2
+        ([4, 3, 6], "singular basis: Singular matrix"),  # d's entries cancel
+    ):
+        lp.basis = np.array(basis)
+        with pytest.raises(milp.MilpError, match=message):
+            lp._refactor()
 
 
 def test_no_master_equality_row_starts_on_its_fixed_slack():

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
 import oracles
 from generators import interior_punisher_table, planted_sequence
 from liftedpaths import tracking
-from liftedpaths.instance import SINK, SOURCE
+from liftedpaths.instance import SINK, SOURCE, InstanceFormatError
 from liftedpaths.tracking import (
     CostTable,
     TrackingConfig,
@@ -91,6 +92,37 @@ def test_parse_costs_reads_tables_and_labels():
     assert table.base[((0, 0), (1, 0))] == -1.0
     assert table.base[((0, 0), (1, 1))] == 0.5
     assert table.lift[((0, 0), (2, 0))] == -1.0
+
+
+
+#: Lines that each make a cost table invalid, and the message naming why.
+BAD_COST_LINES = [
+    pytest.param("base 1 0 1 1 1.0", "base cost (1, 0)->(1, 1) must point to a later frame",
+                 id="same-frame"),
+    pytest.param("lift 2 0 1 0 -1.0", "lift cost (2, 0)->(1, 0) must point to a later frame",
+                 id="earlier-frame"),
+    pytest.param("base 0 0 2 0 nan", "base cost (0, 0)->(2, 0) is not finite", id="nan"),
+    pytest.param("lift 0 0 2 0 -inf", "lift cost (0, 0)->(2, 0) is not finite", id="inf"),
+    pytest.param("gt 1 0 -1", "label of (1, 0) must be >= 0", id="negative-label"),
+]
+
+
+@pytest.mark.parametrize("line, message", BAD_COST_LINES)
+def test_parse_costs_reports_an_invalid_entry_at_its_line(line, message):
+    """The parser and `CostTable` share one check; the parser names the line."""
+    text = "# scene\ngt 0 0 1\n\nbase 0 0 1 0 -1.0\n" + line + "\ngt 2 0 1\n"
+    with pytest.raises(InstanceFormatError, match=re.escape(f"line 5, column 1: {message}")):
+        parse_costs(text)
+    table = parse_costs(text.replace(line, ""))
+    entry = dict(base=table.base, lift=table.lift, labels=table.labels)
+    kind, *fields = line.split()
+    if kind == "gt":
+        entry["labels"] = {**table.labels, (int(fields[0]), int(fields[1])): int(fields[2])}
+    else:
+        pair = ((int(fields[0]), int(fields[1])), (int(fields[2]), int(fields[3])))
+        entry[kind] = {**entry[kind], pair: float(fields[4])}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CostTable(**entry)
 
 
 def test_track_text_round_trip():
