@@ -32,6 +32,7 @@ asserted, since their failure would mean the separation logic is unsound.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import Counter
 from collections.abc import Iterator, Sequence
@@ -48,8 +49,9 @@ from .constraints import (
     lift_var,
     node_var,
 )
-from .instance import _LABELS, FlowSolution, Instance, evaluate_objective
+from .instance import _LABELS, FlowSolution, Instance
 from .milp import (
+    BinaryResult,
     LinearConstraint,
     MilpError,
     VariableHandle,
@@ -94,10 +96,14 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("max_rounds", "node_limit", "time_limit"):
-            value = getattr(self, name)
+            value, label = getattr(self, name), name.replace("_", " ")
+            if value is None and name != "max_rounds":
+                continue
+            if name != "time_limit" and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{label} must be an integer")
             # `not >= 0` also rejects NaN, which would fail every deadline check.
-            if value is not None and not value >= 0:
-                raise ValueError(f"{name.replace('_', ' ')} must be at least 0")
+            if not value >= 0:
+                raise ValueError(f"{label} must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -227,15 +233,16 @@ def certify(instance: Instance, solution: FlowSolution) -> list[LinearConstraint
     return rep_path.constraints + rep_cut.constraints
 
 
-def _solution_from_values(instance: Instance, values) -> FlowSolution:
-    """The master's 0/1 `values` as a solution of `instance`."""
+def _solution_from_values(instance: Instance, master: BinaryResult) -> FlowSolution:
+    """The master's 0/1 values as a solution of `instance`.  `solve_binary`
+    sums the costs of the chosen columns with `math.fsum`, as
+    `evaluate_objective` does, so its objective is the solution's."""
     n, m = instance.n, len(instance.base_edges)
-    labels = [_LABELS[v] for v in values.tolist()]
+    labels = [_LABELS[v] for v in master.values.tolist()]
     x = (_LABELS[0], *labels[:n])
     y = tuple(labels[n : n + m])
     yl = tuple(labels[n + m : n + m + len(instance.lifted_edges)])
-    sol = FlowSolution(x=x, y=y, y_lifted=yl, objective=0.0)
-    return FlowSolution(x=x, y=y, y_lifted=yl, objective=evaluate_objective(instance, sol))
+    return FlowSolution(x=x, y=y, y_lifted=yl, objective=master.objective)
 
 
 def solve(
@@ -295,7 +302,7 @@ def solve(
         if master.status == "time_limit":
             status = STATUS_TIME_LIMIT
             break
-        best = _solution_from_values(instance, master.values)
+        best = _solution_from_values(instance, master)
         assert best.objective >= prev_objective - 1e-9, (
             "master objective decreased across rounds"
         )

@@ -27,7 +27,8 @@ bound violation; entering column: the dual ratio test, with the same Bland
 fallback) restores primal feasibility in a few pivots.  A row whose bound
 violation no entering column can reduce proves the LP infeasible.  Past 400
 rows only the equality rows start active; the rows a vertex violates are
-appended with their slacks basic and the LP is reoptimised this way.
+appended with their slacks basic, `_refactor` inverts the grown basis, and
+the LP is reoptimised this way.
 
 The integer layer is best-first branch-and-bound over one live LP: every
 open node keeps the optimal basis of its LP, and a child restores its
@@ -53,11 +54,13 @@ The LP matrix is one entry array sorted by column: the store entries of the
 LP's rows, one +-1 entry per slack, and the entries of rows appended later.
 It takes three arrays of one word per non-zero, beside the m x m basis
 inverse.  Per pivot, pricing costs O(non-zeros); the entering column
-B^-1 a_j reads only the inverse's columns at a_j's rows; the duals (primal)
-or reduced costs (dual) are updated by one multiple of the pivot row; and
-the ratio test, the step and the inverse update touch only the rows where
-B^-1 a_j is non-zero.  The inverse is rebuilt by `_refactor` every
-256 basis changes, and a node that restores the live basis keeps it.
+B^-1 a_j reads only the inverse's columns at a_j's rows; the primal duals
+are updated by one multiple of the pivot row, while the dual simplex
+computes its reduced costs afresh at every pass; and the ratio test, the
+step and the inverse update touch only the rows where B^-1 a_j is
+non-zero.  The inverse is rebuilt by `_refactor` every 256 basis changes
+and whenever rows are appended, and a node that restores the live basis
+keeps it.
 """
 
 from __future__ import annotations
@@ -337,13 +340,13 @@ class _Simplex:
     It starts from the crash basis (slacks for inequality rows, claimed
     columns for equality rows) when its vertex is in the box, else from the
     dual-feasible slack basis; `_refactor` inverts either, as it inverts
-    every basis from scratch (`add_rows` extends the live inverse).
+    every basis from scratch, the one `add_rows` grows included.
     `restore` (a stored basis under new structural bounds) and `add_rows`
     keep the basis dual feasible.  `reoptimise`, from the start or after
     either, runs dual pivots until the basis is primal feasible, then primal
-    pivots until it is optimal.  `_phase` carries the duals pi and `_dual`
-    the reduced costs d from pivot to pivot, and both recompute them after
-    each refactor; `_phase` also recomputes pi before it reports an optimum.
+    pivots until it is optimal.  `_phase` carries the duals pi from pivot to
+    pivot, recomputes them after each refactor and before it reports an
+    optimum; `_dual` computes the reduced costs d afresh at every pass.
     Past `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
     active; `reoptimise` appends the pending rows the vertex violates and
     reoptimises until none is.  The LP matrix is the entries
@@ -447,20 +450,6 @@ class _Simplex:
         self.a_row, self.a_col, self.a_val = row[order], col[order], val[order]
         self.a_ptr = np.searchsorted(self.a_col, np.arange(self.ncols + 1))
 
-    def _basic_block(
-        self, row: np.ndarray, col: np.ndarray, val: np.ndarray, nrows: int
-    ) -> np.ndarray:
-        """The entries (row, col, val) at the basic columns, dense: an
-        `nrows` x len(basis) array whose column k sums those of column
-        basis[k]."""
-        m = len(self.basis)
-        at = np.full(self.ncols, -1)
-        at[self.basis] = np.arange(m)
-        k = at[col]
-        keep = k >= 0
-        flat = row[keep] * m + k[keep]
-        return np.bincount(flat, val[keep], minlength=nrows * m).reshape(nrows, m)
-
     def _ftran(self, j: int) -> np.ndarray:
         """Binv a_j, from the columns of Binv at the rows of a_j's entries."""
         s, e = self.a_ptr[j], self.a_ptr[j + 1]
@@ -484,7 +473,12 @@ class _Simplex:
         [[K^-1, 0], [-D^-1 N K^-1, D^-1]], each block scattered back to the
         basis positions and rows it stands for."""
         m = self.m
-        b = self._basic_block(self.a_row, self.a_col, self.a_val, m)
+        pos = np.full(self.ncols, -1)  # each column's basis position
+        pos[self.basis] = np.arange(m)
+        k = pos[self.a_col]
+        keep = k >= 0
+        flat = self.a_row[keep] * m + k[keep]
+        b = np.bincount(flat, self.a_val[keep], minlength=m * m).reshape(m, m)
         nz = b != 0
         single = nz.sum(axis=0) == 1
         cols, kcols = single.nonzero()[0], (~single).nonzero()[0]
@@ -602,7 +596,6 @@ class _Simplex:
         violations until the basis is primal feasible too."""
         movable = (self.up - self.lo) > 0
         direction = _DIRECTION[self.vstat] * movable  # as in `_phase`
-        d = None  # the reduced costs: updated per pivot, recomputed when None
         while True:
             lo_b = self.lo[self.basis]
             up_b = self.up[self.basis]
@@ -616,10 +609,8 @@ class _Simplex:
             self.iterations += 1
             if self.updates >= _REFACTOR_EVERY:
                 self._refactor()
-                d = None
                 continue
-            if d is None:
-                d = c - self._products(c[self.basis] @ self.Binv)
+            d = c - self._products(c[self.basis] @ self.Binv)
             if self.bland:
                 r = int(rows[self.basis[rows].argmin()])
             else:
@@ -644,9 +635,7 @@ class _Simplex:
             col = self._ftran(q)
             if abs(col[r]) <= _TOL_PIVOT:  # alpha and col disagree: drifted
                 self._refactor()
-                d = None
                 continue
-            d -= (d[q] / alpha[q]) * alpha
             target = lo_b[r] if to_lower else up_b[r]
             step = (self.xB[r] - target) / col[r]  # change in x_q
             entering_val = self.x[q] + step
@@ -691,8 +680,9 @@ class _Simplex:
         return status
 
     def add_rows(self, indices: np.ndarray) -> None:
-        """Append pending rows with their slacks basic.  The basis stays dual
-        feasible; a violated row's slack starts out of bounds."""
+        """Append pending rows with their slacks basic, then invert the grown
+        basis with `_refactor`.  The basis stays dual feasible; a violated
+        row's slack starts out of bounds."""
         k, m0, n0 = len(indices), self.m, self.ncols
         ridx, cidx, data = self.rows.entries(indices, n0)
         self.m += k
@@ -703,17 +693,6 @@ class _Simplex:
             np.concatenate([self.a_val, data]),
         )
         senses = self.rows.sense[indices]
-        sign = _SLACK_SIGN[senses]
-        xfull = self.x.copy()
-        xfull[self.basis] = self.xB
-        slack = sign * (self.rows.rhs[indices] - self.rows.lhs(xfull[: self.nstruct])[indices])
-        # [[B, 0], [N, S]]^-1 = [[B^-1, 0], [-S N B^-1, S]] for S = diag(+-1).
-        binv = np.zeros((self.m, self.m))
-        binv[:m0, :m0] = self.Binv
-        binv[m0:, :m0] = -sign[:, None] * (self._basic_block(ridx, cidx, data, k) @ self.Binv)
-        binv[m0:, m0:] = np.diag(sign)
-        self.Binv = binv
-        self.xB = np.concatenate([self.xB, slack])
         self.basis = np.concatenate([self.basis, np.arange(n0, n0 + k)])
         self.vstat = np.concatenate([self.vstat, np.full(k, _BASIC)])
         self.x = np.concatenate([self.x, np.zeros(k)])
@@ -722,6 +701,7 @@ class _Simplex:
         self.bland_threshold = 3 * (self.m + self.nstruct)
         self.active = np.concatenate([self.active, indices])
         self.pending = np.setdiff1d(self.pending, indices, assume_unique=True)
+        self._refactor()
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """The current basis and bound statuses, for `restore`."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -163,16 +164,20 @@ class TrackingConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        for name in ("interval_length", "successors_per_frame", "max_gap_frames", "jobs"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name.replace('_', ' ')} must be at least 1")
+        floors = dict(interval_length=1, successors_per_frame=1, max_gap_frames=1, jobs=1)
+        floors["max_iterations"] = 0
+        for name, floor in floors.items():
+            value, label = getattr(self, name), name.replace("_", " ")
+            if value is None and name == "max_gap_frames":
+                continue
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{label} must be an integer")
+            if value < floor:
+                raise ValueError(f"{label} must be at least {floor}")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValueError("fps must be a positive finite number")
         if not (math.isfinite(self.lift_epsilon) and self.lift_epsilon >= 0):
             raise ValueError("lift epsilon must be a finite number of at least 0")
-        if self.max_iterations < 0:
-            raise ValueError("max iterations must be at least 0")
 
     def gap_limit(self) -> int:
         if self.max_gap_frames is not None:

@@ -106,7 +106,7 @@ def test_the_one_cut_master_optimum_is_unique():
     runner_up = milp.solve_binary(variables, costs, list(pool) + [nogood])
     assert runner_up.status == "optimal"
     assert runner_up.objective > master.objective + 1.0
-    point = driver._solution_from_values(inst, master.values)
+    point = driver._solution_from_values(inst, master)
     assert {row.tag for row in certify(inst, point)} == {TAG_LIFTED_PATH}
 
 
@@ -164,8 +164,23 @@ def test_time_limit_zero_stops_immediately():
         ({"node_limit": -1}, "node limit"),
         ({"time_limit": -0.5}, "time limit"),
         ({"time_limit": math.nan}, "time limit"),
+        ({"max_rounds": 1.5}, "max rounds must be an integer"),
+        ({"max_rounds": 2.0}, "max rounds must be an integer"),
+        ({"max_rounds": None}, "max rounds must be an integer"),
+        ({"node_limit": 0.5}, "node limit must be an integer"),
+        ({"node_limit": math.nan}, "node limit must be an integer"),
     ],
-    ids=["max_rounds=-1", "node_limit=-1", "time_limit=-0.5", "time_limit=nan"],
+    ids=[
+        "max_rounds=-1",
+        "node_limit=-1",
+        "time_limit=-0.5",
+        "time_limit=nan",
+        "max_rounds=1.5",
+        "max_rounds=2.0",
+        "max_rounds=None",
+        "node_limit=0.5",
+        "node_limit=nan",
+    ],
 )
 def test_solver_config_rejects_negative_and_nan_limits(limits, message):
     with pytest.raises(ValueError, match=message):
@@ -253,6 +268,22 @@ def test_solved_and_path_built_solutions_are_equal_and_share_labels(seed):
     assert built == solved
     for sol in (solved, built):
         assert all(v is _LABELS[0] or v is _LABELS[1] for v in sol.x + sol.y + sol.y_lifted)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_the_solved_objective_is_the_solution_objective_bit_for_bit(seed):
+    """The solve reports the master's objective, summed by `solve_binary`;
+    with costs of arbitrary float bits it equals `evaluate_objective` of the
+    solution exactly, on random instances and on the demo."""
+    rng = random.Random(seed)
+    inst = random_instance(
+        rng, max_inner=8, max_base=16, max_lift=6, cost=lambda r: r.uniform(-2.0, 2.0)
+    )
+    for case in (inst, demo_instance()):
+        res = solve(case)
+        assert res.objective.hex() == evaluate_objective(case, res.solution).hex()
+        assert res.objective == res.solution.objective
 
 
 def test_framed_instances_solve_with_lifted_flow_rows():

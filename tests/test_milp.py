@@ -327,9 +327,9 @@ def exact_reduced_costs(lp, c):
 @given(SEEDS)
 def test_carried_duals_and_reduced_costs_price_like_exact_ones(seed):
     """`_phase` prices with duals it updates pivot by pivot, and `_dual` with
-    reduced costs it updates the same way.  Against exact ones: every
-    column the primal method enters improves the objective, and every dual
-    pivot leaves the basis dual feasible."""
+    reduced costs it computes afresh at every pass.  Against exact ones:
+    every column the primal method enters improves the objective, and every
+    dual pivot leaves the basis dual feasible."""
     costs = []  # the costs of the `_phase` or `_dual` call running, if any
     phase, dual = milp._Simplex._phase, milp._Simplex._dual
     ftran, pivot = milp._Simplex._ftran, milp._Simplex._pivot
@@ -733,9 +733,6 @@ def assert_kernels_match(simplex, a, rng):
     np.testing.assert_allclose(simplex._products(y), y @ a, rtol=0, atol=1e-12)
     basis = dense_basis(simplex)
     np.testing.assert_array_equal(basis, a[:, simplex.basis])
-    np.testing.assert_array_equal(
-        simplex._basic_block(simplex.a_row, simplex.a_col, simplex.a_val, simplex.m), basis
-    )
     np.testing.assert_allclose(simplex.Binv @ basis, np.eye(simplex.m), rtol=0, atol=1e-12)
     for j in range(simplex.ncols):
         np.testing.assert_allclose(simplex._ftran(j), simplex.Binv @ a[:, j], rtol=0, atol=1e-12)
@@ -773,6 +770,59 @@ def test_sparse_products_and_columns_match_a_dense_matrix(seed):
     appended = list(range(len(rows), len(rows) + len(extra)))
     simplex.add_rows(np.array(appended))
     assert_kernels_match(simplex, reference_matrix(store, active, appended, n), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_added_rows_join_on_basic_slacks_under_a_fresh_inverse(seed):
+    """Rows appended to a solved LP, some violated at its vertex and some
+    not, join with their slacks basic at sign * (rhs - lhs) of that vertex.
+    Binv matches a dense inverse of the grown basis to 1e-9, and
+    reoptimising reaches the reference optimum over every row."""
+    rng = random.Random(seed)
+    vs = handles(rng.randint(1, 6))
+    n = len(vs)
+    objective = [float(rng.randint(-3, 3)) for _ in vs]
+    rows = [row for row in random_rows(rng, vs, rng.randint(1, 6)) if row.terms]
+    store = milp._row_store(vs, rows)
+    lp = milp._Simplex(np.asarray(objective), store, np.zeros(n), np.ones(n))
+    assume(lp.reoptimise() == "optimal")
+    full = lp.x.copy()
+    full[lp.basis] = lp.xB
+    vertex = full[:n]
+    # A violated row misses the vertex by 0.5-2; a satisfied one holds with
+    # that slack, or tight.
+    flags = [True, False] + [rng.random() < 0.5 for _ in range(rng.randint(0, 3))]
+    extra = []
+    while len(extra) < len(flags):
+        extra += [row for row in random_rows(rng, vs, 1) if row.terms]
+    for i, (row, violated) in enumerate(zip(extra, flags)):
+        lhs = math.fsum(c * vertex[h.index] for h, c in row.terms)
+        gap = rng.choice((0.5, 1.0, 2.0)) if violated else rng.choice((0.0, 0.5, 1.0, 2.0))
+        if row.sense == "=":
+            rhs = lhs + rng.choice((-1.0, 1.0)) * (gap if violated else 0.0)
+        else:
+            rhs = lhs + (gap if (row.sense == "<=") != violated else -gap)
+        extra[i] = LinearConstraint(row.terms, row.sense, rhs, "added")
+    store.extend(extra)
+    appended = np.arange(len(rows), len(rows) + len(extra))
+    assert store.violated(vertex)[appended].tolist() == flags
+    m0, n0 = lp.m, lp.ncols
+    lp.add_rows(appended)
+    np.testing.assert_allclose(lp.Binv, np.linalg.inv(dense_basis(lp)), rtol=0, atol=1e-9)
+    assert lp.basis[m0:].tolist() == list(range(n0, n0 + len(extra)))
+    assert (lp.vstat[n0:] == milp._BASIC).all()
+    sign = milp._SLACK_SIGN[store.sense[appended]]
+    slack = sign * (store.rhs[appended] - store.lhs(vertex)[appended])
+    np.testing.assert_allclose(lp.xB[m0:], slack, rtol=0, atol=1e-9)
+    status = lp.reoptimise()
+    ref = oracles.lp_reference(vs, objective, rows + extra)
+    if ref.status == 2:
+        assert status == "infeasible"
+    else:
+        assert (ref.status, status) == (0, "optimal")
+        value = float(np.asarray(objective) @ lp.structural_values())
+        assert value == pytest.approx(ref.fun, abs=1e-6)
 
 
 def test_columns_no_row_touches_start_at_their_cheaper_bound():

@@ -75,11 +75,19 @@ def test_gap_bands_widen_in_steps():
         pytest.param("jobs", -3, "jobs must be at least 1", id="jobs=-3"),
         pytest.param("max_iterations", -1, "max iterations must be", id="max_iterations=-1"),
         pytest.param("max_iterations", -3, "max iterations must be", id="max_iterations=-3"),
+        pytest.param("interval_length", 2.5, "interval length must be an integer", id="2.5"),
+        pytest.param("successors_per_frame", 1.5, "per frame must be an integer", id="K=1.5"),
+        pytest.param("successors_per_frame", 2.0, "per frame must be an integer", id="K=2.0"),
+        pytest.param("max_gap_frames", 3.5, "max gap frames must be an integer", id="gap=3.5"),
+        pytest.param("jobs", 1.5, "jobs must be an integer", id="jobs=1.5"),
+        pytest.param("max_iterations", 0.5, "max iterations must be an integer", id="iter=0.5"),
+        pytest.param("max_iterations", None, "max iterations must be an integer", id="iter=None"),
     ],
 )
 def test_interval_length_below_one_is_rejected(knob, value, message):
     """The interval length, and every other knob with a floor, rejects a
-    value below it instead of running with it."""
+    value below it instead of running with it; a count knob rejects a value
+    that is not an integer, a whole float included."""
     with pytest.raises(ValueError, match=message):
         TrackingConfig(**{knob: value})
 
