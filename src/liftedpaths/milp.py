@@ -10,11 +10,12 @@ rows claim structural columns in passes, each row a column whose other
 equality-row entries all lie in rows claimed in earlier passes, so no
 equality row is left on its fixed slack where such columns exist (in a flow
 master every row of a node on a source-sink route is claimed).  One
-routine, `_Simplex._refactor`, inverts every basis from scratch: the basic
-columns with a single non-zero (every basic slack, and a structural
-touching one row) are divided out, and only the kernel of the other columns
-goes to LAPACK.  In the flow-only masters of tracking, whose nodes all have
-edges from s and to t, the crash kernel is usually empty.
+routine, `_Simplex._refactor`, inverts every basis from scratch, from the
+basic columns' entries: the basic columns with a single entry (every basic
+slack, and a structural touching one row) are divided out, and only the
+kernel of the other columns is scattered densely and goes to LAPACK.  In
+the flow-only masters of tracking, whose nodes all have edges from s and to
+t, the crash kernel is usually empty.
 A crash whose vertex is in the box is solved by the primal simplex;
 otherwise the all-slack basis with every structural at its cheaper bound is
 dual feasible, and the dual simplex below starts from it.  Pricing is
@@ -53,14 +54,15 @@ presolve is dropping empty rows, after checking that they are satisfiable.
 The LP matrix is one entry array sorted by column: the store entries of the
 LP's rows, one +-1 entry per slack, and the entries of rows appended later.
 It takes three arrays of one word per non-zero, beside the m x m basis
-inverse.  Per pivot, pricing costs O(non-zeros); the entering column
-B^-1 a_j reads only the inverse's columns at a_j's rows; the primal duals
-are updated by one multiple of the pivot row, while the dual simplex
-computes its reduced costs afresh at every pass; and the ratio test, the
-step and the inverse update touch only the rows where B^-1 a_j is
-non-zero.  The inverse is rebuilt by `_refactor` every 256 basis changes
-and whenever rows are appended, and a node that restores the live basis
-keeps it.
+inverse; a refactor drops the old inverse before it allocates the new one
+and holds no other m x m array, only the kernel's blocks.  Per pivot,
+pricing costs O(non-zeros); the entering column B^-1 a_j reads only the
+inverse's columns at a_j's rows; the primal duals are updated by one
+multiple of the pivot row, while the dual simplex computes its reduced
+costs afresh at every pass; and the ratio test, the step and the inverse
+update touch only the rows where B^-1 a_j is non-zero.  The inverse is
+rebuilt by `_refactor` every 256 basis changes and whenever rows are
+appended, and a node that restores the live basis keeps it.
 """
 
 from __future__ import annotations
@@ -465,39 +467,54 @@ class _Simplex:
         return c
 
     def _refactor(self) -> None:
-        """Invert the basis afresh (Suhl & Suhl, ORSA J. Computing 1990).
-        Each basic column with a single non-zero (every basic slack, and a
-        structural touching one row) is divided out, and only the kernel K
-        of the other columns and rows goes to LAPACK: ordered kernel first,
-        B = [[K, 0], [N, D]] for a diagonal D, so its inverse is
-        [[K^-1, 0], [-D^-1 N K^-1, D^-1]], each block scattered back to the
-        basis positions and rows it stands for."""
+        """Invert the basis afresh (Suhl & Suhl, ORSA J. Computing 1990) from
+        the basic columns' entries.  A column with exactly one entry (every
+        basic slack, and a structural touching one row) is divided out; every
+        other column, repeated entries in one row included, is in the kernel
+        K.  Ordered kernel first, B = [[K, 0], [N, D]] for a diagonal D, so
+        its inverse is [[K^-1, 0], [-D^-1 N K^-1, D^-1]].  Only the kernel
+        columns are scattered densely, into one m x nk block of K's rows then
+        N's, and only K goes to LAPACK; each block of the inverse is
+        scattered back to the basis positions and rows it stands for.  The
+        old inverse is dropped first and the block once K^-1 and D^-1 N K^-1
+        are formed, so the new inverse is the only m x m array a refactor
+        holds."""
+        self.Binv = None
         m = self.m
-        pos = np.full(self.ncols, -1)  # each column's basis position
-        pos[self.basis] = np.arange(m)
-        k = pos[self.a_col]
-        keep = k >= 0
-        flat = self.a_row[keep] * m + k[keep]
-        b = np.bincount(flat, self.a_val[keep], minlength=m * m).reshape(m, m)
-        nz = b != 0
-        single = nz.sum(axis=0) == 1
+        start = self.a_ptr[self.basis]
+        count = self.a_ptr[self.basis + 1] - start  # each basic column's entries
+        single = count == 1
         cols, kcols = single.nonzero()[0], (~single).nonzero()[0]
-        at = nz[:, cols].T.nonzero()[1]  # each singleton's row
+        at, d = self.a_row[start[cols]], self.a_val[start[cols]]  # each singleton's entry
+        if not d.all():
+            raise MilpError("singular basis: a basic column's only entry is 0")
         free = np.ones(m, dtype=bool)
         free[at] = False
         krows = free.nonzero()[0]
-        if len(krows) != len(kcols):
+        nk = len(kcols)
+        if len(krows) != nk:
             raise MilpError("singular basis: two singleton columns share a row")
-        d = b[at, cols]
-        self.Binv = np.zeros((m, m))
-        self.Binv[cols, at] = 1.0 / d
-        if len(kcols):
+        if nk:
+            place = np.empty(m, dtype=np.int64)  # each row's place in the block
+            place[krows], place[at] = np.arange(nk), np.arange(nk, m)
+            kc = count[kcols]
+            col = np.repeat(np.arange(nk), kc)  # each kernel entry's block column
+            # and its index into the LP matrix, column after column
+            k = np.arange(len(col)) + np.repeat(start[kcols] - np.cumsum(kc) + kc, kc)
+            flat = place[self.a_row[k]] * nk + col
+            block = np.bincount(flat, self.a_val[k], minlength=m * nk).reshape(m, nk)
             try:
-                kinv = np.linalg.inv(b[krows][:, kcols])
+                kinv = np.linalg.inv(block[:nk])
             except np.linalg.LinAlgError as exc:
                 raise MilpError(f"singular basis: {exc}") from None
+            lower = (block[nk:] / -d[:, None]) @ kinv
+            del block
+        self.Binv = np.zeros((m, m))
+        self.Binv[cols, at] = 1.0 / d
+        if nk:
             self.Binv[kcols[:, None], krows] = kinv
-            self.Binv[cols[:, None], krows] = (b[at][:, kcols] / -d[:, None]) @ kinv
+            self.Binv[cols[:, None], krows] = lower
+            del kinv, lower  # before `_basic_values` allocates
         self.updates = 0
         self._basic_values()
 

@@ -30,7 +30,6 @@ import itertools
 import math
 import numbers
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .driver import SolverConfig, solve
@@ -249,7 +248,7 @@ def _interval_tracklets(
     if not detections:
         return []
     start, length = detections[0][0], config.interval_length
-    # per interval: its detections, base and lifted entries (dropped once built)
+    # per interval: its detections, base and lifted entries (popped when built)
     groups: dict[int, tuple[list[Detection], PairCosts, PairCosts]] = {}
     for d in detections:
         groups.setdefault((d[0] - start) // length, ([], {}, {}))[0].append(d)
@@ -258,15 +257,20 @@ def _interval_tracklets(
             k = (u[0] - start) // length
             if k == (v[0] - start) // length:
                 groups[k][slot][(u, v)] = cost
-    jobs = [
+    # Each interval's instance is built when its solve asks for it: `map`
+    # lets an instance go once it is solved, so one is held at a time.
+    # The pool's `map` submits every interval at once.
+    jobs = (
         (*_build_detection_instance(*groups.pop(k), config), config.solver)
         for k in sorted(groups)
-    ]
-    if config.jobs > 1 and len(jobs) > 1:
+    )
+    if config.jobs > 1 and len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             per_interval = list(pool.map(_solve_to_tracklets, jobs))
     else:
-        per_interval = [_solve_to_tracklets(j) for j in jobs]
+        per_interval = list(map(_solve_to_tracklets, jobs))
     tracklets = [t for group in per_interval for t in group]
     unmatched = set(detections) - {d for t in tracklets for d in t}
     # Detections the interval solves left out still exist; keep them as

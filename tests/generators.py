@@ -321,6 +321,29 @@ def planted_sequence(
     return CostTable(base=base, lift=lift, labels=labels)
 
 
+def sequence_instance(
+    table: CostTable, gap: int = 10
+) -> tuple[Instance, list[tuple[int, int]]]:
+    """The unsparsified instance of a whole cost table, and its detection
+    order (node i + 1 is detection i).  Every table pair `gap` frames apart
+    or less is a base edge, and every nonzero lifted pair in that window
+    that the base edges connect is a lifted edge."""
+    order = list(table.detections)
+    ids = {d: i for i, d in enumerate(order, start=1)}
+    edges = [(SOURCE, i, 0.0) for i in ids.values()] + [(i, SINK, 0.0) for i in ids.values()]
+    edges += [
+        (ids[u], ids[v], c) for (u, v), c in sorted(table.base.items()) if v[0] - u[0] <= gap
+    ]
+    reach = Reachability(len(order), edges)
+    lifted = [
+        (ids[u], ids[v], c)
+        for (u, v), c in sorted(table.lift.items())
+        if c and v[0] - u[0] <= gap and reach.reaches(ids[u], ids[v])
+    ]
+    frames = {i: d[0] for d, i in ids.items()}
+    return Instance(len(order), edges, lifted, frames=frames), order
+
+
 def interval_instance() -> Instance:
     """Stage 1's instance for the first interval of a small planted sequence."""
     table = planted_sequence(random.Random(4), frames=30, noise=0.2, clutter=4)

@@ -16,10 +16,12 @@ import liftedpaths
 
 def test_package_and_cli_import_without_scipy():
     """Importing SciPy costs more memory and start-up time than the rest of
-    the package together, so a fresh interpreter must not load any of it."""
+    the package together, so a fresh interpreter must not load any of it.
+    Nor may it load the process pool, which only parallel interval solves use."""
     code = (
         "import sys, liftedpaths, liftedpaths.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "heavy = ('scipy', 'concurrent', 'multiprocessing')\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in heavy))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(liftedpaths.__file__).resolve().parents[1])

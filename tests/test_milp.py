@@ -6,6 +6,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from generators import framed_instance, interval_instance, random_formula, random_instance
-from liftedpaths import milp
+from generators import (
+    framed_instance,
+    interval_instance,
+    planted_sequence,
+    random_formula,
+    random_instance,
+    sequence_instance,
+)
+from liftedpaths import milp, tracking
 from liftedpaths.driver import build_initial_constraints, master_variables, solve
 from liftedpaths.milp import (
     LinearConstraint,
@@ -1001,8 +1009,9 @@ def test_refactor_inverts_bases_of_slacks_singletons_and_a_kernel(seed):
 
 
 def test_refactor_refuses_singular_bases():
-    """Two singleton columns in one row, a singular kernel, and a basic
-    column whose repeated entries cancel each raise `MilpError`."""
+    """Two singleton columns in one row, a singular kernel, a basic column
+    whose repeated entries cancel, and one whose only entry is 0 each raise
+    `MilpError`."""
     a, b, c, d = vs = handles(4)
     rows = [
         LinearConstraint(((a, 1.0), (c, 1.0)), "<=", 1.0, "t"),
@@ -1018,6 +1027,67 @@ def test_refactor_refuses_singular_bases():
         lp.basis = np.array(basis)
         with pytest.raises(milp.MilpError, match=message):
             lp._refactor()
+    # An uncanonicalised row keeps a's zero coefficient as an entry.
+    zero = [LinearConstraint(((a, 0.0), (b, 1.0)), "<=", 1.0, "t")]
+    lp = milp._Simplex(np.zeros(2), milp._row_store(vs[:2], zero), np.zeros(2), np.ones(2))
+    lp.basis = np.array([0])
+    with pytest.raises(milp.MilpError, match="singular basis: a basic column's only entry is 0"):
+        lp._refactor()
+
+
+def refactor_growth(inst):
+    """The flow-only master of `inst` after `reoptimise`: its rows m, its
+    kernel columns nk, and how far one `_refactor` raises the traced
+    memory above its start, in bytes.  The old inverse is traced, and the
+    test holds no reference to it, so an inverse that replaces it adds
+    nothing."""
+    vs, costs = master_variables(inst)
+    rows = milp._row_store(vs, list(build_initial_constraints(inst)))
+    assert set(rows.tags) == {"flow"}
+    n = len(vs)
+    tracemalloc.start()
+    try:
+        lp = milp._Simplex(np.asarray(costs), rows, np.zeros(n), np.ones(n))
+        assert lp.reoptimise() == "optimal"
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        lp._refactor()
+        growth = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(lp.Binv @ dense_basis(lp), np.eye(lp.m), rtol=0, atol=1e-9)
+    nk = np.count_nonzero(lp.a_ptr[lp.basis + 1] - lp.a_ptr[lp.basis] != 1)
+    return lp.m, nk, growth
+
+
+def test_a_refactor_holds_one_dense_inverse_beside_its_kernel_blocks(monkeypatch):
+    """A refactor drops the old inverse first and builds no dense B, so
+    beside one inverse it holds at most one m x nk block for a kernel of
+    nk columns, plus 256 KiB of indexing buffers.  On a stage-2 tracklet
+    graph of 155 nodes (m = 310, a small kernel) that is below half a dense
+    m x m array, so with the inverse below 1.5; on a whole-sequence
+    instance the kernel is nearly the whole basis.  A dense B, or an old
+    inverse kept beside the new one, would exceed both."""
+    masters = []
+    solve_graph = tracking.solve
+
+    def recording_solve(instance, *args):
+        masters.append(instance)
+        return solve_graph(instance, *args)
+
+    monkeypatch.setattr(tracking, "solve", recording_solve)
+    table = planted_sequence(random.Random(0), frames=150, noise=0.2, clutter=110)
+    config = tracking.TrackingConfig(max_gap_frames=10, interval_length=10, max_iterations=1)
+    tracking.run_tracking(table, config)
+    assert masters[-1].n >= 150
+    m, nk, growth = refactor_growth(masters[-1])
+    assert m >= 300 and nk > 0
+    assert growth < 0.5 * 8 * m * m
+    assert growth < 8 * m * nk + 2**18
+    table = planted_sequence(random.Random(0), frames=60, noise=0.2, clutter=4)
+    m, nk, growth = refactor_growth(sequence_instance(table)[0])
+    assert m >= 300 and nk > 0.9 * m
+    assert growth < 8 * m * nk + 2**18
 
 
 def test_no_master_equality_row_starts_on_its_fixed_slack():

@@ -9,9 +9,10 @@ import re
 import pytest
 
 import oracles
-from generators import interior_punisher_table, planted_sequence
+from generators import interior_punisher_table, planted_sequence, sequence_instance
 from liftedpaths import tracking
-from liftedpaths.instance import SINK, SOURCE, InstanceFormatError
+from liftedpaths.driver import solve
+from liftedpaths.instance import SINK, SOURCE, InstanceFormatError, active_st_paths
 from liftedpaths.tracking import (
     CostTable,
     TrackingConfig,
@@ -266,6 +267,40 @@ def test_parallel_interval_solves_match_the_serial_run():
     )
     assert parallel.tracks == serial.tracks
     assert parallel.objective_trace == serial.objective_trace
+
+
+def test_stage_one_builds_each_interval_just_before_its_solve(monkeypatch):
+    calls = []
+    build, solve_one = tracking._build_detection_instance, tracking._solve_to_tracklets
+
+    def recording_build(*args):
+        calls.append("build")
+        return build(*args)
+
+    def recording_solve(job):
+        calls.append("solve")
+        return solve_one(job)
+
+    monkeypatch.setattr(tracking, "_build_detection_instance", recording_build)
+    monkeypatch.setattr(tracking, "_solve_to_tracklets", recording_solve)
+    table = planted_sequence(random.Random(4), frames=30, noise=0.2, clutter=4)
+    tracking._interval_tracklets(table, TrackingConfig(max_gap_frames=10, interval_length=10))
+    assert calls == ["build", "solve"] * 3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_whole_sequence_optimum_bounds_the_pipeline(seed):
+    """Solved exactly, the unsparsified instance of a short sequence prices
+    its own tracks at its objective, no worse than the pipeline's answer."""
+    table = planted_sequence(random.Random(seed), frames=30, noise=0.2, clutter=4)
+    instance, order = sequence_instance(table)
+    result = solve(instance)
+    assert result.status == "optimal"
+    paths = active_st_paths(instance, result.solution)
+    tracks = [tuple(order[v - 1] for v in path) for path in paths]
+    assert result.objective == pytest.approx(detection_objective(table, tracks, 10), abs=1e-9)
+    pipeline = run_tracking(table, TrackingConfig(max_gap_frames=10, interval_length=10))
+    assert result.objective <= pipeline.objective + 1e-9
 
 
 @pytest.mark.parametrize(
