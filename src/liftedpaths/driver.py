@@ -74,6 +74,9 @@ STATUS_OPTIMAL = "optimal"
 STATUS_ROUND_LIMIT = "round_limit"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_CUTOFF = "cutoff"
+#: The run's status when the master stops on its cutoff or a limit.
+_STOPPED = {"cutoff": STATUS_CUTOFF, "node_limit": STATUS_ROUND_LIMIT,
+            "time_limit": STATUS_TIME_LIMIT}
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class RoundStats:
     """One master-separate round: objective reached and cuts contributed,
-    with the branch-and-bound nodes and simplex pivots of this round's
-    master call (the search resumed from the previous round)."""
+    with the branch-and-bound nodes and the simplex pivots and bound flips
+    of this round's master call (resumed from the previous round's search)."""
 
     round: int
     master_objective: float
@@ -293,14 +296,8 @@ def solve(
         )
         if master.status == "infeasible":
             raise MilpError("master problem infeasible; the empty flow should always fit")
-        if master.status == "cutoff":
-            status = STATUS_CUTOFF
-            break
-        if master.status == "node_limit":
-            status = STATUS_ROUND_LIMIT
-            break
-        if master.status == "time_limit":
-            status = STATUS_TIME_LIMIT
+        if master.status in _STOPPED:
+            status = _STOPPED[master.status]
             break
         best = _solution_from_values(instance, master)
         assert best.objective >= prev_objective - 1e-9, (

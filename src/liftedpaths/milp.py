@@ -189,7 +189,7 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "iteration_limit": a boxed LP is bounded
     objective: float | None
     values: np.ndarray | None  # aligned with the `variables` argument
-    iterations: int = 0  # simplex pivots, primal and dual
+    iterations: int = 0  # simplex pivots, primal and dual, and bound flips
 
 
 @dataclass
@@ -199,7 +199,7 @@ class BinaryResult:
     values: np.ndarray | None  # 0/1 ints aligned with `variables`
     nodes_explored: int = 0  # LPs solved by this call, re-solves of stale nodes included
     bound: float | None = None  # best proven lower bound
-    lp_iterations: int = 0  # simplex pivots of this call, primal and dual
+    lp_iterations: int = 0  # simplex pivots and bound flips of this call
     _search: _Search | None = field(default=None, compare=False, repr=False)  # for `resume=`
 
 
@@ -346,9 +346,10 @@ class _Simplex:
     `restore` (a stored basis under new structural bounds) and `add_rows`
     keep the basis dual feasible.  `reoptimise`, from the start or after
     either, runs dual pivots until the basis is primal feasible, then primal
-    pivots until it is optimal.  `_phase` carries the duals pi from pivot to
-    pivot, recomputes them after each refactor and before it reports an
-    optimum; `_dual` computes the reduced costs d afresh at every pass.
+    pivots until it is optimal; both make every basis change with
+    `_exchange`.  `_phase` carries the duals pi from pivot to pivot,
+    recomputes them after each refactor and before it reports an optimum;
+    `_dual` computes the reduced costs d afresh at every pass.
     Past `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
     active; `reoptimise` appends the pending rows the vertex violates and
     reoptimises until none is.  The LP matrix is the entries
@@ -433,12 +434,11 @@ class _Simplex:
         self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
         self.vstat[:n][x0 == up] = _AT_UPPER
         self.vstat[self.basis] = _BASIC
-        self.c_struct = c
+        self.c = np.concatenate([c, np.zeros(m)])  # 0 on the slacks
         self.iterations = 0  # passes of the current solve, for its limit
         self.pivots = 0  # basis changes and bound flips over the LP's life
         self.degenerate = 0
         self.bland = False
-        self.bland_threshold = 3 * (m + self.nstruct)
         self.iteration_limit = (
             iteration_limit
             if iteration_limit is not None
@@ -460,11 +460,6 @@ class _Simplex:
     def _products(self, y: np.ndarray) -> np.ndarray:
         """y @ A for a row vector y."""
         return np.bincount(self.a_col, y[self.a_row] * self.a_val, minlength=self.ncols)
-
-    def _costs(self) -> np.ndarray:
-        c = np.zeros(self.ncols)
-        c[: self.nstruct] = self.c_struct
-        return c
 
     def _refactor(self) -> None:
         """Invert the basis afresh (Suhl & Suhl, ORSA J. Computing 1990) from
@@ -535,6 +530,27 @@ class _Simplex:
         self.pivots += 1
         self.updates += 1
 
+    def _exchange(self, r, q, to_lower, value, col, nz, movable, direction) -> None:
+        """The one basis exchange: column q, with `col` = Binv a_q non-zero at
+        `nz`, enters at row r with value `value`, and the variable leaving
+        goes to its lower bound if `to_lower`, else to its upper bound."""
+        old = self.basis[r]
+        self.x[old] = self.lo[old] if to_lower else self.up[old]
+        self.vstat[old] = _AT_LOWER if to_lower else _AT_UPPER
+        direction[old] = _DIRECTION[self.vstat[old]] * movable[old]
+        self.basis[r] = q
+        self.vstat[q] = _BASIC
+        direction[q] = 0.0
+        self._pivot(r, col, nz)
+        self.xB[r] = value
+
+    def _count_degenerate(self, t: float) -> None:
+        """Count a step of at most 1e-12; past 3*(m+n) of them, use Bland's rule."""
+        if t <= 1e-12:
+            self.degenerate += 1
+            if self.degenerate > 3 * (self.m + self.nstruct):
+                self.bland = True
+
     def _phase(self, c: np.ndarray) -> str:
         """Bounded primal simplex from a primal-feasible basis."""
         if not self.ncols:
@@ -580,10 +596,7 @@ class _Simplex:
             t = min(t_min_rows, self.up[j] - self.lo[j])
             if not math.isfinite(t):  # every structural is boxed: only drift gets here
                 raise MilpError("unbounded step in a boxed LP")
-            if t <= 1e-12:
-                self.degenerate += 1
-                if self.degenerate > self.bland_threshold:
-                    self.bland = True
+            self._count_degenerate(t)
 
             self.xB[nz] -= t * delta
             if t < t_min_rows:  # x_j flips to its opposite bound
@@ -595,18 +608,9 @@ class _Simplex:
             ties = (t_rows <= t_min_rows + 1e-12).nonzero()[0]
             k = int(ties[basic[ties].argmin()])
             leave_row = int(nz[k])
-            old = basic[k]
-            leaves_at_lower = delta[k] > 0
-            self.x[old] = self.lo[old] if leaves_at_lower else self.up[old]
-            self.vstat[old] = _AT_LOWER if leaves_at_lower else _AT_UPPER
-            direction[old] = _DIRECTION[self.vstat[old]] * movable[old]
-            entering_val = self.x[j] + s_dir * t
-            self.basis[leave_row] = j
-            self.vstat[j] = _BASIC
-            direction[j] = 0.0
-            pi += (d[j] / col[leave_row]) * self.Binv[leave_row]
-            self._pivot(leave_row, col, nz)
-            self.xB[leave_row] = entering_val
+            pi += (d[j] / col[leave_row]) * self.Binv[leave_row]  # Binv before the pivot
+            value = self.x[j] + s_dir * t
+            self._exchange(leave_row, j, delta[k] > 0, value, col, nz, movable, direction)
 
     def _dual(self, c: np.ndarray) -> str:
         """Bounded dual simplex: from a dual-feasible basis, pivot out bound
@@ -644,57 +648,37 @@ class _Simplex:
             t_min = float(ratios.min())
             ties = idx[ratios <= t_min + 1e-12]
             q = int(ties[0] if self.bland else ties[np.abs(alpha[ties]).argmax()])
-            if t_min <= 1e-12:
-                self.degenerate += 1
-                if self.degenerate > self.bland_threshold:
-                    self.bland = True
+            self._count_degenerate(t_min)
 
             col = self._ftran(q)
             if abs(col[r]) <= _TOL_PIVOT:  # alpha and col disagree: drifted
                 self._refactor()
                 continue
-            target = lo_b[r] if to_lower else up_b[r]
-            step = (self.xB[r] - target) / col[r]  # change in x_q
-            entering_val = self.x[q] + step
+            step = (self.xB[r] - (lo_b[r] if to_lower else up_b[r])) / col[r]  # change in x_q
             nz = col.nonzero()[0]
             self.xB[nz] -= step * col[nz]
-            old = self.basis[r]
-            self.x[old] = target
-            self.vstat[old] = _AT_LOWER if to_lower else _AT_UPPER
-            direction[old] = _DIRECTION[self.vstat[old]] * movable[old]
-            self.basis[r] = q
-            self.vstat[q] = _BASIC
-            direction[q] = 0.0
-            self._pivot(r, col, nz)
-            self.xB[r] = entering_val
+            self._exchange(r, q, to_lower, self.x[q] + step, col, nz, movable, direction)
 
     def reoptimise(self) -> str:
         """Recover an optimum from the start, or after `restore` or
-        `add_rows`, then activate violated rows."""
-        return self._activate(self._reoptimise())
-
-    def _reoptimise(self) -> str:
-        self.iterations = 0
-        self.degenerate = 0
-        self.bland = False
-        c = self._costs()
-        status = self._dual(c)
-        if status != "optimal":
-            return status
-        # From a feasible crash the primal phase does the work.  After dual
-        # pivots, drift can leave a reduced cost a hair on the wrong side;
-        # the primal phase repairs that, and otherwise stops at its first
-        # pricing.
-        return self._phase(c)
-
-    def _activate(self, status: str) -> str:
-        while status == "optimal" and self.pending.size:
+        `add_rows`; while it violates pending rows, add them and repeat."""
+        while True:
+            self.iterations = 0
+            self.degenerate = 0
+            self.bland = False
+            status = self._dual(self.c)
+            if status == "optimal":
+                # From a feasible crash the primal phase does the work.  After
+                # dual pivots, drift can leave a reduced cost a hair on the
+                # wrong side; the primal phase repairs that, and otherwise
+                # stops at its first pricing.
+                status = self._phase(self.c)
+            if status != "optimal" or not self.pending.size:
+                return status
             hit = self.rows.violated(self.structural_values())[self.pending]
             if not hit.any():
-                break
+                return status
             self.add_rows(self.pending[hit])
-            status = self._reoptimise()
-        return status
 
     def add_rows(self, indices: np.ndarray) -> None:
         """Append pending rows with their slacks basic, then invert the grown
@@ -715,7 +699,7 @@ class _Simplex:
         self.x = np.concatenate([self.x, np.zeros(k)])
         self.lo = np.concatenate([self.lo, np.zeros(k)])
         self.up = np.concatenate([self.up, _SLACK_UP[senses]])
-        self.bland_threshold = 3 * (self.m + self.nstruct)
+        self.c = np.concatenate([self.c, np.zeros(k)])
         self.active = np.concatenate([self.active, indices])
         self.pending = np.setdiff1d(self.pending, indices, assume_unique=True)
         self._refactor()

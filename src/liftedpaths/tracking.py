@@ -424,7 +424,7 @@ def run_tracking(table: CostTable, config: TrackingConfig | None = None) -> Trac
     tracklets = _interval_tracklets(table, config)
     tracklet_count = len(tracklets)
     trace: list[float] = []
-    tracks = [t for t in tracklets]
+    tracks = tracklets
     iterations = 0
     while iterations < config.max_iterations:
         iterations += 1
@@ -442,7 +442,7 @@ def run_tracking(table: CostTable, config: TrackingConfig | None = None) -> Trac
         tracklets = pieces
     return TrackingResult(
         tracks=sorted(tracks),
-        objective=detection_objective(table, tracks, gap),
+        objective=trace[-1] if trace else detection_objective(table, tracks, gap),
         iterations=iterations,
         objective_trace=trace,
         tracklet_count=tracklet_count,

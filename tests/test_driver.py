@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import re
@@ -134,6 +135,39 @@ def test_two_round_instance_needs_one_connectivity_cut():
     ]
     assert res.trace[0].cuts_added == {"lifted-path": 1}
     assert res.trace[1].cuts_added == {}
+
+
+def test_a_round_that_finds_only_pooled_cuts_raises(monkeypatch):
+    # `one_cut_instance` solves in 2 rounds; round 1 separates one row.
+    reports = []
+    separate = driver.separate_lifted_path
+
+    def repeating(instance, solution):
+        reports.append(separate(instance, solution))
+        return reports[0]  # round 2 finds round 1's rows again
+
+    monkeypatch.setattr(driver, "separate_lifted_path", repeating)
+    with pytest.raises(RuntimeError, match="only cuts already in the pool"):
+        solve(one_cut_instance())
+    assert len(reports) == 2
+    assert [row.tag for row in reports[0].constraints] == [TAG_LIFTED_PATH]
+
+
+def test_a_master_objective_that_falls_across_rounds_fails_the_assert(monkeypatch):
+    masters = []
+    solve_binary = driver.solve_binary
+
+    def falling(*args, **kwargs):
+        master = solve_binary(*args, **kwargs)
+        masters.append(master)
+        if len(masters) == 2:
+            return dataclasses.replace(master, objective=master.objective - 100.0)
+        return master
+
+    monkeypatch.setattr(driver, "solve_binary", falling)
+    with pytest.raises(AssertionError, match="decreased across rounds"):
+        solve(one_cut_instance())
+    assert len(masters) == 2
 
 
 def test_round_limit_returns_the_uncertified_master():

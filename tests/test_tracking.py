@@ -220,6 +220,27 @@ def test_zero_iterations_return_the_interval_tracklets_unmerged():
     assert result.objective == detection_objective(table, result.tracks, 6)
 
 
+def test_run_tracking_computes_each_objective_once(monkeypatch):
+    calls = []
+    objective = tracking.detection_objective
+
+    def counted(*args):
+        calls.append(args)
+        return objective(*args)
+
+    monkeypatch.setattr(tracking, "detection_objective", counted)
+    table, _ = interior_punisher_table()
+    config = TrackingConfig(fps=5.0, max_gap_frames=6, interval_length=15)
+    result = run_tracking(table, config)
+    assert len(calls) == result.iterations == 2
+    assert result.objective == result.objective_trace[-1]
+    calls.clear()
+    result = run_tracking(table, TrackingConfig(
+        fps=5.0, max_gap_frames=6, interval_length=15, max_iterations=0))
+    assert (len(calls), result.objective_trace) == (1, [])
+    assert result.objective == objective(table, result.tracks, 6)
+
+
 def test_tracking_builds_one_instance_per_solve(monkeypatch):
     builds, solves = [], []
     build, solve = tracking.Instance.__init__, tracking.solve
