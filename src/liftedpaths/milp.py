@@ -55,14 +55,17 @@ The LP matrix is one entry array sorted by column: the store entries of the
 LP's rows, one +-1 entry per slack, and the entries of rows appended later.
 It takes three arrays of one word per non-zero, beside the m x m basis
 inverse; a refactor drops the old inverse before it allocates the new one
-and holds no other m x m array, only the kernel's blocks.  Per pivot,
-pricing costs O(non-zeros); the entering column B^-1 a_j reads only the
-inverse's columns at a_j's rows; the primal duals are updated by one
-multiple of the pivot row, while the dual simplex computes its reduced
-costs afresh at every pass; and the ratio test, the step and the inverse
-update touch only the rows where B^-1 a_j is non-zero.  The inverse is
-rebuilt by `_refactor` every 256 basis changes and whenever rows are
-appended, and a node that restores the live basis keeps it.
+and holds no other m x m array, only the kernel's blocks.  Both simplex
+loops price with one vector of reduced costs d over every column, kept with
+the basis: `_refactor` computes it afresh, and each basis exchange updates
+it by one multiple of the pivot row of B^-1 A, at O(non-zeros) per exchange;
+a bound flip changes no basis and does no pricing work.  The primal simplex
+prices afresh before it reports an optimum from an updated d.  The entering
+column B^-1 a_j reads only the inverse's columns at a_j's rows, and the
+ratio test, the step and the inverse update touch only the rows where
+B^-1 a_j is non-zero.  The inverse and d are rebuilt by `_refactor` every
+256 basis changes and whenever rows are appended, and a node that restores
+the live basis keeps both.  A deadline is checked at every simplex pass.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ import heapq
 import math
 import operator
 import time
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -284,18 +287,9 @@ class _RowStore(Sequence):
     def __getitem__(self, i: int) -> LinearConstraint:
         i = range(len(self))[operator.index(i)]
         s, e = self.start[i], self.start[i + 1]
-        return self._view(self.col[s:e].tolist(), self.val[s:e].tolist(), i)
-
-    def __iter__(self) -> Iterator[LinearConstraint]:
-        cols, vals, start = self.col.tolist(), self.val.tolist(), self.start.tolist()
-        for i in range(len(self)):
-            s, e = start[i], start[i + 1]
-            yield self._view(cols[s:e], vals[s:e], i)
-
-    def _view(self, cols: list[int], vals: list[float], i: int) -> LinearConstraint:
         handles = self.variables
         return LinearConstraint(
-            tuple(zip([handles[j] for j in cols], vals)),
+            tuple(zip([handles[j] for j in self.col[s:e].tolist()], self.val[s:e].tolist())),
             _SENSE_NAMES[self.sense[i]],
             float(self.rhs[i]),
             self.tags[self.tag[i]],
@@ -347,9 +341,12 @@ class _Simplex:
     keep the basis dual feasible.  `reoptimise`, from the start or after
     either, runs dual pivots until the basis is primal feasible, then primal
     pivots until it is optimal; both make every basis change with
-    `_exchange`.  `_phase` carries the duals pi from pivot to pivot,
-    recomputes them after each refactor and before it reports an optimum;
-    `_dual` computes the reduced costs d afresh at every pass.
+    `_exchange`.  Both price with the reduced costs `d`, which `_refactor`
+    computes afresh (`_price`) and `_exchange` updates from the pivot row;
+    `_phase` prices afresh before it reports an optimum from an updated
+    `d`.  `reoptimise` sets every column's move, `movable` and `direction`,
+    once per batch, and the loops keep them.  Each pass stops the solve at
+    `iteration_limit` passes or past `deadline`.
     Past `_LAZY_ROW_THRESHOLD` non-empty rows only the equality rows start
     active; `reoptimise` appends the pending rows the vertex violates and
     reoptimises until none is.  The LP matrix is the entries
@@ -420,6 +417,7 @@ class _Simplex:
             er, ec = er[k], ec[k]
         self.basis = basis
         self.x = np.concatenate([x0, np.zeros(m)])
+        self.c = np.concatenate([c, np.zeros(m)])  # 0 on the slacks
         self._refactor()
         if ((self.xB < self.lo[basis]) | (self.xB > self.up[basis])).any():
             # Infeasible crash: the slack basis has duals 0, so d_j = c_j, and
@@ -434,7 +432,7 @@ class _Simplex:
         self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
         self.vstat[:n][x0 == up] = _AT_UPPER
         self.vstat[self.basis] = _BASIC
-        self.c = np.concatenate([c, np.zeros(m)])  # 0 on the slacks
+        self.deadline: float | None = None  # a `time.monotonic()` instant each pass checks
         self.iterations = 0  # passes of the current solve, for its limit
         self.pivots = 0  # basis changes and bound flips over the LP's life
         self.degenerate = 0
@@ -512,6 +510,12 @@ class _Simplex:
             del kinv, lower  # before `_basic_values` allocates
         self.updates = 0
         self._basic_values()
+        self._price()
+
+    def _price(self) -> None:
+        """The reduced costs d = c - c_B Binv A, afresh."""
+        self.d = self.c - self._products(self.c[self.basis] @ self.Binv)
+        self.stale = False
 
     def _basic_values(self) -> None:
         """xB = Binv (b - N x_N)."""
@@ -530,17 +534,22 @@ class _Simplex:
         self.pivots += 1
         self.updates += 1
 
-    def _exchange(self, r, q, to_lower, value, col, nz, movable, direction) -> None:
+    def _exchange(self, r, q, to_lower, value, col, nz, alpha) -> None:
         """The one basis exchange: column q, with `col` = Binv a_q non-zero at
         `nz`, enters at row r with value `value`, and the variable leaving
-        goes to its lower bound if `to_lower`, else to its upper bound."""
+        goes to its lower bound if `to_lower`, else to its upper bound.
+        `alpha`, row r of Binv A before the exchange, updates the reduced
+        costs: d -= (d_q / alpha_q) alpha, with d_q set to exactly 0."""
         old = self.basis[r]
         self.x[old] = self.lo[old] if to_lower else self.up[old]
         self.vstat[old] = _AT_LOWER if to_lower else _AT_UPPER
-        direction[old] = _DIRECTION[self.vstat[old]] * movable[old]
+        self.direction[old] = _DIRECTION[self.vstat[old]] * self.movable[old]
         self.basis[r] = q
         self.vstat[q] = _BASIC
-        direction[q] = 0.0
+        self.direction[q] = 0.0
+        self.d -= (self.d[q] / alpha[q]) * alpha
+        self.d[q] = 0.0
+        self.stale = True
         self._pivot(r, col, nz)
         self.xB[r] = value
 
@@ -551,33 +560,25 @@ class _Simplex:
             if self.degenerate > 3 * (self.m + self.nstruct):
                 self.bland = True
 
-    def _phase(self, c: np.ndarray) -> str:
+    def _phase(self) -> str:
         """Bounded primal simplex from a primal-feasible basis."""
         if not self.ncols:
             return "optimal"  # no column to price
-        movable = (self.up - self.lo) > 0
-        # The sign of a move off each column's bound, 0 where it cannot move.
-        direction = _DIRECTION[self.vstat] * movable
-        pi = None  # the duals c_B Binv: updated per pivot, recomputed when None
         while True:
             if self.iterations >= self.iteration_limit:
                 return "iteration_limit"
+            if self.deadline is not None and time.monotonic() >= self.deadline:
+                return "time_limit"
             self.iterations += 1
             if self.updates >= _REFACTOR_EVERY:
                 self._refactor()
-                pi = None
-            fresh = pi is None
-            if fresh:
-                pi = c[self.basis] @ self.Binv
-
-            d = c - self._products(pi)
             # -|d_j| where moving x_j off its bound lowers the objective.
-            score = d * direction
+            score = self.d * self.direction
             j = int(score.argmin())
             if score[j] >= -_TOL_PRICE:
-                if fresh:
+                if not self.stale:
                     return "optimal"
-                pi = None  # rule out drift before reporting an optimum
+                self._price()  # rule out drift before reporting an optimum
                 continue
             if self.bland:
                 j = int((score < -_TOL_PRICE).nonzero()[0][0])
@@ -602,21 +603,19 @@ class _Simplex:
             if t < t_min_rows:  # x_j flips to its opposite bound
                 self.x[j] = self.up[j] if self.vstat[j] == _AT_LOWER else self.lo[j]
                 self.vstat[j] = _AT_UPPER if self.vstat[j] == _AT_LOWER else _AT_LOWER
-                direction[j] = -direction[j]
+                self.direction[j] = -self.direction[j]
                 self.pivots += 1
                 continue
             ties = (t_rows <= t_min_rows + 1e-12).nonzero()[0]
             k = int(ties[basic[ties].argmin()])
             leave_row = int(nz[k])
-            pi += (d[j] / col[leave_row]) * self.Binv[leave_row]  # Binv before the pivot
+            alpha = self._products(self.Binv[leave_row])
             value = self.x[j] + s_dir * t
-            self._exchange(leave_row, j, delta[k] > 0, value, col, nz, movable, direction)
+            self._exchange(leave_row, j, delta[k] > 0, value, col, nz, alpha)
 
-    def _dual(self, c: np.ndarray) -> str:
+    def _dual(self) -> str:
         """Bounded dual simplex: from a dual-feasible basis, pivot out bound
         violations until the basis is primal feasible too."""
-        movable = (self.up - self.lo) > 0
-        direction = _DIRECTION[self.vstat] * movable  # as in `_phase`
         while True:
             lo_b = self.lo[self.basis]
             up_b = self.up[self.basis]
@@ -627,11 +626,12 @@ class _Simplex:
                 return "optimal"
             if self.iterations >= self.iteration_limit:
                 return "iteration_limit"
+            if self.deadline is not None and time.monotonic() >= self.deadline:
+                return "time_limit"
             self.iterations += 1
             if self.updates >= _REFACTOR_EVERY:
                 self._refactor()
                 continue
-            d = c - self._products(c[self.basis] @ self.Binv)
             if self.bland:
                 r = int(rows[self.basis[rows].argmin()])
             else:
@@ -640,11 +640,11 @@ class _Simplex:
             alpha = self._products(self.Binv[r])
             # Raising x_j moves x_B[r] by -alpha_j; `gain` > 0 means moving
             # x_j off its bound moves x_B[r] toward the bound it violates.
-            gain = (-alpha if to_lower else alpha) * direction
+            gain = (-alpha if to_lower else alpha) * self.direction
             idx = (gain > _TOL_PIVOT).nonzero()[0]
             if idx.size == 0:
                 return "infeasible"  # row r cannot reach its bound within the box
-            ratios = np.maximum(d[idx] * direction[idx], 0.0) / np.abs(alpha[idx])
+            ratios = np.maximum(self.d[idx] * self.direction[idx], 0.0) / np.abs(alpha[idx])
             t_min = float(ratios.min())
             ties = idx[ratios <= t_min + 1e-12]
             q = int(ties[0] if self.bland else ties[np.abs(alpha[ties]).argmax()])
@@ -657,7 +657,7 @@ class _Simplex:
             step = (self.xB[r] - (lo_b[r] if to_lower else up_b[r])) / col[r]  # change in x_q
             nz = col.nonzero()[0]
             self.xB[nz] -= step * col[nz]
-            self._exchange(r, q, to_lower, self.x[q] + step, col, nz, movable, direction)
+            self._exchange(r, q, to_lower, self.x[q] + step, col, nz, alpha)
 
     def reoptimise(self) -> str:
         """Recover an optimum from the start, or after `restore` or
@@ -666,13 +666,16 @@ class _Simplex:
             self.iterations = 0
             self.degenerate = 0
             self.bland = False
-            status = self._dual(self.c)
+            self.movable = (self.up - self.lo) > 0
+            # The sign of a move off each column's bound, 0 where it cannot move.
+            self.direction = _DIRECTION[self.vstat] * self.movable
+            status = self._dual()
             if status == "optimal":
                 # From a feasible crash the primal phase does the work.  After
-                # dual pivots, drift can leave a reduced cost a hair on the
-                # wrong side; the primal phase repairs that, and otherwise
-                # stops at its first pricing.
-                status = self._phase(self.c)
+                # dual pivots, drift can leave a carried reduced cost a hair
+                # on the wrong side; the primal phase prices afresh before it
+                # reports an optimum, and repairs that.
+                status = self._phase()
             if status != "optimal" or not self.pending.size:
                 return status
             hit = self.rows.violated(self.structural_values())[self.pending]
@@ -849,16 +852,18 @@ class _Search:
                     continue
                 vals = None  # a row appended since its LP cuts it off
             if vals is None:
-                full = node_limit is not None and nodes >= node_limit
-                late = basis is not None and deadline is not None and time.monotonic() >= deadline
-                if full or late:  # best-first: the top node has the least open bound
-                    stopped = "node_limit" if full else "time_limit"
-                    return BinaryResult(stopped, None, None, nodes, bound, lp.pivots - pivots, self)
+                # Best-first: a stop leaves the least open bound on top.
+                if node_limit is not None and nodes >= node_limit:
+                    return BinaryResult("node_limit", None, None, nodes, bound, lp.pivots - pivots, self)
                 heapq.heappop(heap)
-                nodes += 1
                 if basis is not None:
                     lp.restore(basis, lo, up)
+                lp.deadline = None if basis is None else deadline
                 status = lp.reoptimise()
+                if status == "time_limit":  # back on the heap unsolved
+                    heapq.heappush(heap, (bound, tie, None, lo, up, basis, seen))
+                    return BinaryResult(status, None, None, nodes, bound, lp.pivots - pivots, self)
+                nodes += 1
                 if status == "infeasible":
                     continue
                 if status != "optimal":
@@ -919,8 +924,9 @@ def solve_binary(
     (anything else raises `MilpError`): open nodes whose vertex a new row
     cuts off are reoptimised from their own basis, and no LP is rebuilt.
     `node_limit` caps the LPs this call solves, re-solves included.
-    `deadline` is a `time.monotonic()` instant checked before every LP solve
-    but the root's.  A search stopped by either limit has status
+    `deadline` is a `time.monotonic()` instant checked at every simplex
+    pass of every LP solve but the root's; a node whose LP it stops goes
+    back on the heap unsolved.  A search stopped by either limit has status
     "node_limit" or "time_limit", no solution and the least open bound.
     `cutoff` prunes every node whose LP bound exceeds it by more than 1e-9;
     when no solution is found and some node was pruned this way, the status

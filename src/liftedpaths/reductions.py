@@ -110,12 +110,15 @@ def _prune_to_routes(
 
 def parse_dimacs(text: str) -> list[tuple[int, int, int]]:
     """Parse a DIMACS CNF file whose clauses all have exactly three
-    literals.  Returns the clause list."""
+    literals.  Returns the clause list.  A line that is exactly `%` ends
+    the file, as in the SATLIB benchmark files."""
     clauses: list[tuple[int, int, int]] = []
     nvars = nclauses = None
     pending: list[int] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if line == "%":
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):

@@ -231,6 +231,14 @@ def test_decide_sat_prints_assignment(tmp_path):
         assert any(assignment[abs(lit)] == (lit > 0) for lit in clause)
 
 
+def test_decide_sat_reads_a_satlib_file(tmp_path):
+    cnf = tmp_path / "uf3.cnf"
+    cnf.write_text("c SATLIB style\np cnf 3 2\n 1 -2 3 0\n-1 2 3 0\n%\n0\n\n")
+    code, out, _ = run_cli("decide", "sat", str(cnf))
+    assert code == 0
+    assert out.splitlines()[0] == "satisfiable"
+
+
 def test_decide_sat_negative_exit_three(tmp_path):
     cnf = tmp_path / "u.cnf"
     cnf.write_text(UNSAT_CNF_TEXT)

@@ -334,35 +334,40 @@ def exact_reduced_costs(lp, c):
 @settings(max_examples=30, deadline=None)
 @given(SEEDS)
 def test_carried_duals_and_reduced_costs_price_like_exact_ones(seed):
-    """`_phase` prices with duals it updates pivot by pivot, and `_dual` with
-    reduced costs it computes afresh at every pass.  Against exact ones:
-    every column the primal method enters improves the objective, and every
-    dual pivot leaves the basis dual feasible."""
-    costs = []  # the costs of the `_phase` or `_dual` call running, if any
+    """`_phase` and `_dual` price with the reduced costs `lp.d` that each
+    exchange updates from the pivot row.  Against exact ones: every column
+    the primal method enters improves the objective, every dual pivot
+    leaves the basis dual feasible, and at every pivot of either loop `d`
+    is within 1e-6 on the movable non-basic columns."""
+    loops = []  # whether the loop running, if any, is `_dual`
     phase, dual = milp._Simplex._phase, milp._Simplex._dual
     ftran, pivot = milp._Simplex._ftran, milp._Simplex._pivot
 
     def running(method, check_pivots):
-        def run(lp, c, **kwargs):
-            costs.append((c, check_pivots))
+        def run(lp, **kwargs):
+            loops.append(check_pivots)
             try:
-                return method(lp, c, **kwargs)
+                return method(lp, **kwargs)
             finally:
-                costs.pop()
+                loops.pop()
 
         return run
 
     def checked_ftran(lp, j):
-        if costs and not costs[-1][1]:
-            d = exact_reduced_costs(lp, costs[-1][0])
+        if loops and not loops[-1]:
+            d = exact_reduced_costs(lp, lp.c)
             assert d[j] * milp._DIRECTION[lp.vstat[j]] < 0.0
         return ftran(lp, j)
 
     def checked_pivot(lp, *args):
         pivot(lp, *args)
-        if costs and costs[-1][1]:
-            movable = (lp.up - lp.lo) > 0
-            d = exact_reduced_costs(lp, costs[-1][0])
+        if not loops:
+            return
+        movable = (lp.up - lp.lo) > 0
+        d = exact_reduced_costs(lp, lp.c)
+        moves = movable & (lp.vstat != milp._BASIC)
+        np.testing.assert_allclose(lp.d[moves], d[moves], rtol=0, atol=1e-6)
+        if loops[-1]:
             assert (d * milp._DIRECTION[lp.vstat] * movable).min(initial=0.0) >= -1e-6
 
     rng = random.Random(seed)
@@ -389,6 +394,34 @@ def test_carried_duals_and_reduced_costs_price_like_exact_ones(seed):
                 lp.restore(root, lo, up)
                 lp.reoptimise()
     assert_matches_enumeration(vs, objective, rows, mine)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS, st.sampled_from([1, 3]))
+def test_periodic_refactors_keep_answers_and_price_afresh(seed, every):
+    """With the periodic refactor forced every 1 or 3 basis changes,
+    `solve_lp` matches HiGHS and `solve_binary` enumeration, and right
+    after every `_refactor` the reduced costs `lp.d` are exact to 1e-9."""
+    refactor = milp._Simplex._refactor
+
+    def checked_refactor(lp):
+        refactor(lp)
+        np.testing.assert_allclose(lp.d, exact_reduced_costs(lp, lp.c), rtol=0, atol=1e-9)
+
+    rng = random.Random(seed)
+    vs = handles(rng.randint(1, 6))
+    objective = [float(rng.randint(-3, 3)) for _ in vs]
+    rows = random_rows(rng, vs, rng.randint(0, 6))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp, "_REFACTOR_EVERY", every)
+        patch.setattr(milp._Simplex, "_refactor", checked_refactor)
+        mine = solve_lp(vs, objective, rows)
+        ref = oracles.lp_reference(vs, objective, rows)
+        assert mine.status == ("infeasible" if ref.status == 2 else "optimal")
+        if mine.status == "optimal":
+            assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
+        parity = parity_program(rng)
+        assert_matches_enumeration(*parity, solve_binary(*parity))
 
 
 def assert_matches_enumeration(vs, objective, rows, mine):
@@ -660,6 +693,54 @@ def test_binary_deadline_stops_after_the_root():
     ahead = solve_binary(vs, [-1.0, -1.0], rows, deadline=math.inf)
     assert ahead.status == "optimal"
     assert ahead.objective == pytest.approx(full.objective)
+
+
+def test_a_deadline_stops_a_child_inside_its_reoptimisation(monkeypatch):
+    """The clock passes the deadline at a child's first basis exchange, so
+    the check of the next simplex pass stops the search: no pass runs after
+    it, and the bound is at most the optimum.  The child goes back on the
+    heap unsolved, so a resume with no deadline ends at the optimum.  A
+    deadline of `math.inf` gives the unlimited answer."""
+    state = {}
+    restore, exchange = milp._Simplex.restore, milp._Simplex._exchange
+
+    def child_restore(lp, *args):
+        state["lp"] = lp
+        restore(lp, *args)
+
+    def child_exchange(lp, *args):
+        exchange(lp, *args)
+        if "lp" in state:
+            state.setdefault("late_reads", 0)
+
+    def clock():
+        if "late_reads" not in state:
+            return 0.0
+        state["late_reads"] += 1
+        state["after"] = (state["lp"].iterations, state["lp"].pivots)
+        return 1.0
+
+    monkeypatch.setattr(milp._Simplex, "restore", child_restore)
+    monkeypatch.setattr(milp._Simplex, "_exchange", child_exchange)
+    monkeypatch.setattr(milp.time, "monotonic", clock)
+    stopped = 0
+    for seed in range(30):
+        vs, objective, rows = parity_program(random.Random(seed))
+        full = solve_binary(vs, objective, rows)
+        state.clear()
+        store = milp._row_store(vs, rows)
+        late = solve_binary(vs, objective, store, deadline=0.5)
+        if "late_reads" in state:
+            stopped += 1
+            assert late.status == "time_limit"
+            assert state["late_reads"] == 1
+            assert state["after"] == (state["lp"].iterations, state["lp"].pivots)
+            assert full.status == "infeasible" or late.bound <= full.objective + 1e-9
+            out = solve_binary(vs, objective, store, resume=late)
+            assert (out.status, out.objective) == (full.status, full.objective)
+        ahead = solve_binary(vs, objective, rows, deadline=math.inf)
+        assert (ahead.status, ahead.objective) == (full.status, full.objective)
+    assert stopped >= 5
 
 
 def test_a_row_store_solves_like_its_rows():

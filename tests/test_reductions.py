@@ -88,6 +88,12 @@ def test_parse_dimacs_reads_clauses():
     assert parse_dimacs(text) == SATISFIABLE
 
 
+def test_parse_dimacs_stops_at_the_satlib_end_marker():
+    assert parse_dimacs("p cnf 3 1\n 1 -2 3 0\n%\n0\n") == [(1, -2, 3)]
+    with pytest.raises(InstanceFormatError, match="bad literal '%2'"):
+        parse_dimacs("p cnf 3 1\n 1 -2 3 0\n%2\n")
+
+
 def test_parse_dimacs_requires_three_literals():
     with pytest.raises(InstanceFormatError, match="need exactly 3"):
         parse_dimacs("p cnf 2 1\n1 2 0\n")

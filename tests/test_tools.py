@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 ANSWERS = Path(__file__).resolve().parent.parent / "tools" / "answers.py"
-KEYS = {"items", "answers_sha256", "solves", "rounds", "nodes", "pivots"}
+KEYS = {"items", "answers_sha256", "solves", "rounds", "nodes", "pivots", "refactors"}
 
 
 def test_answers_prints_one_json_line_of_answers_and_master_work():
@@ -22,5 +22,6 @@ def test_answers_prints_one_json_line_of_answers_and_master_work():
     assert set(line) == KEYS
     assert line["items"] == line["solves"] == 5
     assert line["rounds"] >= 5 and line["nodes"] > 0 and line["pivots"] > 0
+    assert line["refactors"] >= line["solves"]  # each solve inverts a crash basis
     assert len(line["answers_sha256"]) == 64
     assert runs[1].stdout == runs[0].stdout  # the same answers by the same work

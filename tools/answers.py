@@ -7,10 +7,11 @@ Run from the root of a source checkout:
 Answers the items of the `perfbench/workloads.py` pool for that seed
 (all of them without `--items`) in order, and prints one JSON line:
 `items`, `answers_sha256` (a hash of every answer, see `fingerprint`),
-`solves` (driver `solve` calls), and `rounds`, `nodes` and `pivots`
-(simplex pivots and bound flips) summed over those solves.  A change that
-keeps every answer and the master work behind it prints the same line as
-its parent.  Set `OPENBLAS_NUM_THREADS=1` on both sides.
+`solves` (driver `solve` calls), `rounds`, `nodes` and `pivots`
+(simplex pivots and bound flips) summed over those solves, and
+`refactors` (calls of `milp._Simplex._refactor`, the basis inversion).
+A change that keeps every answer and the master work behind it prints the
+same line as its parent.  Set `OPENBLAS_NUM_THREADS=1` on both sides.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload](args.seed)
     items = workload.items[slice(int(start) if start else None, int(stop) if stop else None)]
 
-    totals = {"solves": 0, "rounds": 0, "nodes": 0, "pivots": 0}
+    totals = {"solves": 0, "rounds": 0, "nodes": 0, "pivots": 0, "refactors": 0}
 
     def counted(solve):
         def run(*args, **kwargs):
@@ -74,6 +75,15 @@ def main(argv=None) -> int:
 
         return run
 
+    from liftedpaths.milp import _Simplex
+
+    refactor = _Simplex._refactor
+
+    def counted_refactor(lp):
+        totals["refactors"] += 1
+        refactor(lp)
+
+    _Simplex._refactor = counted_refactor
     for module, name in SOLVE_NAMES:
         owner = importlib.import_module(module)
         setattr(owner, name, counted(getattr(owner, name)))
