@@ -25,7 +25,7 @@ from .constraints import (
     build_multicut_path_inequality,
     build_symmetric_cut,
 )
-from .driver import _unseen, master_variables
+from .driver import master_variables
 from .instance import SINK, SOURCE, Instance, Reachability
 from .milp import LinearConstraint, solve_lp
 
@@ -170,6 +170,18 @@ def _family_witnesses(
             if keep:
                 pairs.append((li, wit))
     return pairs
+
+
+def _unseen(rows, seen: set) -> list[LinearConstraint]:
+    """The rows whose `key()` is not in `seen`, first copies only; their keys
+    join `seen`."""
+    fresh = []
+    for row in rows:
+        key = row.key()
+        if key not in seen:
+            seen.add(key)
+            fresh.append(row)
+    return fresh
 
 
 def lp_bound(

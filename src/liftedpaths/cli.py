@@ -76,11 +76,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     p.add_argument("--trace", action="store_true", help="log per-round progress")
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(run=_cmd_solve)
 
     p = sub.add_parser("oracle", help="solve by exhaustive enumeration")
     p.add_argument("instance")
     p.add_argument("--limit", type=int, default=1_000_000, help="solution budget")
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(run=_cmd_oracle)
 
     p = sub.add_parser("bound", help="LP bound from enumerated inequality families")
     p.add_argument("instance")
@@ -90,16 +92,19 @@ def _build_parser() -> _Parser:
         help="comma-separated subset of: " + ",".join(ALL_FAMILIES),
     )
     p.add_argument("--max-path-len", type=int, default=8, help="witness node cap")
+    p.set_defaults(run=lambda args: _cmd_bound(args, parser))
 
     p = sub.add_parser("reduce", help="encode another problem as an instance")
     p.add_argument("kind", choices=("sat", "mcf"))
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(run=_cmd_reduce)
 
     p = sub.add_parser("decide", help="reduce, solve, and answer yes or no")
     p.add_argument("kind", choices=("sat", "mcf"))
     p.add_argument("input")
     p.add_argument("--rounds", type=int, default=200)
+    p.set_defaults(run=_cmd_decide)
 
     p = sub.add_parser("track", help="run the tracking pipeline on a cost table")
     p.add_argument("costs")
@@ -111,9 +116,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1, help="parallel interval solves")
     p.add_argument("--evaluate", action="store_true", help="score against gt labels")
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(run=_cmd_track)
 
     p = sub.add_parser("validate", help="parse and validate an instance file")
     p.add_argument("instance")
+    p.set_defaults(run=_cmd_validate)
     return parser
 
 
@@ -224,28 +231,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "bound":
-            return _cmd_bound(args, parser)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "decide":
-            return _cmd_decide(args)
-        if args.command == "track":
-            return _cmd_track(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (OSError, InstanceError, ReductionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except (OracleLimitError, BudgetError, DecisionLimitError) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return _EXIT_LIMIT
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

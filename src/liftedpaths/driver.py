@@ -15,8 +15,12 @@ an unviolated integral point carries exactly the labels its flow realizes.
 
 The pool is one row store (`milp._RowStore`).  `build_initial_constraints`
 appends the starting rows to it from the family builders in `constraints`,
-and each round appends only the separated rows that are new; only those are
-keyed for deduplication.  The master reads the store as it is.  From
+and each round appends every row it separates, none of which can already be
+in the pool or repeat another of the round: the round's master point
+violates each of them and satisfies every pool row, and the only other row
+of a round with a +1 on a lifted edge's label is that edge's mirrored cut,
+which `separate_lifted_cut` leaves out when it equals the cut.  The master
+reads the store as it is.  From
 `_FLOW_ONLY_FROM` (2n + lifted edges) on, the store starts from the flow
 rows alone: since the separators are complete, the other starting rows only
 save rounds, and on large instances they do not pay for their building.
@@ -25,7 +29,7 @@ Each round makes one `solve_binary` call, which from round 2 on resumes the
 previous round's branch-and-bound search over the grown pool.
 
 The master objective is monotonically non-decreasing over rounds, and every
-round must contribute at least one previously unseen cut — both facts are
+row a round appends must be violated by its master point — both facts are
 asserted, since their failure would mean the separation logic is unsound.
 """
 
@@ -88,9 +92,10 @@ class SolverConfig:
     `node_limit` caps the LPs of each round's master call, re-solves of
     nodes that new rows cut off included; exhausting it ends the run with
     `round_limit`.
-    `time_limit` (seconds) is checked before each round and before each
-    LP the master solves; exceeding it ends the run with
-    `time_limit`, keeping the last completed round's solution.
+    `time_limit` (seconds) is checked before each round and at every
+    simplex pass of every LP the master solves but round 1's root;
+    exceeding it ends the run with `time_limit`, keeping the last completed
+    round's solution.
     """
 
     max_rounds: int = 200
@@ -267,10 +272,6 @@ def solve(
 
     variables, objective = master_variables(instance)
     pool = build_initial_constraints(instance, variables)
-    # The initial rows are distinct, and the master satisfies every pool row,
-    # so a separated row can only repeat another separated row: only those
-    # are keyed.
-    seen: set = set()
 
     trace: list[RoundStats] = []
     best: FlowSolution | None = None
@@ -308,14 +309,13 @@ def solve(
         rep_path = separate_lifted_path(instance, best)
         rep_cut = separate_lifted_cut(instance, best)
         found = rep_path.constraints + rep_cut.constraints
-        fresh = _unseen(found, seen)
-        pool.extend(fresh)
-        added = Counter(row.tag for row in fresh)
+        before = len(pool)
+        pool.extend(found)
         trace.append(
             RoundStats(
                 round=rounds,
                 master_objective=best.objective,
-                cuts_added=dict(added),
+                cuts_added=dict(Counter(row.tag for row in found)),
                 items_inspected=rep_path.items_inspected + rep_cut.items_inspected,
                 master_nodes=master.nodes_explored,
                 master_pivots=master.lp_iterations,
@@ -325,7 +325,7 @@ def solve(
             status = STATUS_OPTIMAL
             certified = True
             break
-        if not added:
+        if not pool.violated(master.values, first=before).all():
             raise RuntimeError(
                 "separation produced only cuts already in the pool; "
                 "the master solution should have satisfied them"
@@ -341,14 +341,3 @@ def solve(
         certified=certified,
     )
 
-
-def _unseen(rows, seen: set) -> list[LinearConstraint]:
-    """The rows whose `key()` is not in `seen`, first copies only; their keys
-    join `seen`."""
-    fresh = []
-    for row in rows:
-        key = row.key()
-        if key not in seen:
-            seen.add(key)
-            fresh.append(row)
-    return fresh

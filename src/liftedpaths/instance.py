@@ -203,7 +203,8 @@ class Instance:
         for u, v, _ in self.lifted_edges:
             if not reach.reaches(u, v):
                 raise InstanceValidationError(f"lifted edge ({u},{v}) with no base route u->v")
-        # Frames: all-or-nothing, strictly forward along every edge.
+        # Frames: all-or-nothing, strictly forward along every base edge, and
+        # so along every lifted edge, whose base route was checked above.
         if self.frames is not None:
             for v in range(1, n + 1):
                 if v not in self.frames:
@@ -213,9 +214,6 @@ class Instance:
                     continue
                 if self.frames[u] >= self.frames[v]:
                     raise InstanceValidationError(f"base edge ({u},{v}) does not advance in frame order")
-            for u, v, _ in self.lifted_edges:
-                if self.frames[u] >= self.frames[v]:
-                    raise InstanceValidationError(f"lifted edge ({u},{v}) does not advance in frame order")
 
     # -- public helpers ----------------------------------------------------
 

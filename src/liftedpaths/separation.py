@@ -10,7 +10,9 @@ the flow actually realizes:
   * `separate_lifted_cut`    — labels that are 1 but should be 0.  Emits one
     (possibly strengthened) path-induced cut per offending edge and its
     mirrored cut, each violated by exactly 1; an endpoint that carries no
-    flow gets the cut along its one-node witness, the single-node cut.
+    flow gets the cut along its one-node witness, the single-node cut.  A
+    mirror whose terms are its cut's is left out, so no two returned rows
+    are equal.
 
 Both run in one scan over the active paths plus one scan over the lifted
 edges; witness construction only reuses the indexes built during those scans,
@@ -154,7 +156,7 @@ def separate_lifted_cut(
     w's path is emitted as well (earliest 0-labeled (v, u); mirror-image
     fallback otherwise).  An endpoint on no path gives a one-node witness:
     (v,) for the cut, and (w,) for the mirror when v is on a path.  The cut
-    comes before its mirror.
+    comes before its mirror, and a mirror with its cut's terms is left out.
     """
     index = _PathIndex(instance, solution)
     report = SeparationReport(items_inspected=index.items_inspected)
@@ -186,8 +188,8 @@ def separate_lifted_cut(
             else:
                 u = best[1]
             witness = _extract(index, pid, v, u)
-        rows = [build_lifted_path_induced_cut(instance, reach, li, witness, best is not None)]
-
+        cut = build_lifted_path_induced_cut(instance, reach, li, witness, best is not None)
+        mirror = None
         if lw is not None:
             qid, pos_w = lw
             path = index.paths[qid]
@@ -203,11 +205,12 @@ def separate_lifted_cut(
             else:
                 u = best[1]
             witness = _extract(index, qid, u, w)
-            rows.append(build_symmetric_cut(instance, reach, li, witness, best is not None))
+            mirror = build_symmetric_cut(instance, reach, li, witness, best is not None)
         elif lv is not None:
             # w carries no flow: its mirrored single-node cut.
-            rows.append(build_symmetric_cut(instance, reach, li, PathWitness((w,))))
+            mirror = build_symmetric_cut(instance, reach, li, PathWitness((w,)))
 
+        rows = [cut] if mirror is None or mirror.terms == cut.terms else [cut, mirror]
         for con in rows:
             violation = check_violation(con, values)
             assert violation > 0, f"unviolated separation output: {con.format()}"

@@ -25,6 +25,7 @@ from generators import (
     interval_instance,
     one_cut_instance,
     random_instance,
+    random_instance_with_lift,
     tightening_instance,
     two_round_instance,
 )
@@ -69,6 +70,7 @@ from liftedpaths.instance import (
 from liftedpaths.milp import MilpError, check_violation
 from liftedpaths.oracle import all_st_paths, brute_force_optimum
 from liftedpaths.reductions import reduce_sat
+from liftedpaths.separation import separate_lifted_cut
 
 SEEDS = st.integers(0, 10_000)
 
@@ -612,3 +614,50 @@ def test_the_array_builder_drops_cut_in_rows_that_repeat_their_cut_out_row():
     rng = random.Random(5)
     instances = [random_instance(rng) for _ in range(40)]
     assert sum(assert_store_matches_the_reference(inst) for inst in instances) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.booleans(), st.booleans())
+def test_each_round_appends_rows_new_to_the_pool_and_to_the_round(seed, framed, flow_only):
+    """What a key set in the driver would enforce holds without one: the
+    rows a round appends have distinct keys, none of them a pooled row's.
+    With `flow_only`, the pool starts from the flow rows alone, so
+    separation also finds the single-node cuts, whose mirror often equals
+    the cut."""
+    inst = random_instance_with_lift(random.Random(seed), max_inner=20, max_base=60, max_lift=20)
+    if framed:
+        inst = with_frames(inst)
+    extend, appended = milp._RowStore.extend, []
+
+    def spied(store, rows):
+        rows = list(rows)
+        appended.append(({row.key() for row in store}, [row.key() for row in rows]))
+        extend(store, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp._RowStore, "extend", spied)
+        if flow_only:
+            patch.setattr(driver, "_FLOW_ONLY_FROM", 0)
+        res = solve(inst)
+    assert res.status == "optimal"
+    assert len(appended) == res.rounds + 1  # the starting rows, then one call per round
+    for pooled, keys in appended[1:]:
+        assert len(set(keys)) == len(keys)
+        assert pooled.isdisjoint(keys)
+
+
+def test_a_mirror_equal_to_its_cut_is_returned_once():
+    # Flow on s-1-t only, with the lifted edge (1, 2) labelled 1: the cut
+    # along (1,) and the mirror along (2,) both read y'_12 - y_12 <= 0.
+    inst = Instance(
+        2,
+        [(SOURCE, 1, 0.0), (1, SINK, 0.0), (SOURCE, 2, 0.0), (2, SINK, 0.0), (1, 2, 0.0)],
+        [(1, 2, -1.0)],
+    )
+    flow = solution_from_paths(inst, [(1,)])
+    lying = FlowSolution(flow.x, flow.y, (_LABELS[1],), flow.objective)
+    reach = inst.reachability
+    cut = build_lifted_path_induced_cut(inst, reach, 0, PathWitness((1,)))
+    mirror = build_symmetric_cut(inst, reach, 0, PathWitness((2,)))
+    assert mirror.terms == cut.terms
+    assert separate_lifted_cut(inst, lying).constraints == [cut]

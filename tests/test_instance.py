@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import weakref
 
 import pytest
@@ -124,12 +125,58 @@ def test_format_errors_carry_positions(text, line, column, fragment):
         ),
         # rejected before anything is allocated per node
         ("ldp 1\nnodes 1000000000000\n", "1000000000000 inner nodes but only 0 base edges"),
+        ("ldp 1\nnodes 1\nbase s 1 0.0\nbase 1 t 0.0\nbase 1 1 0.0\n", "self-loop at 1"),
+        (
+            "ldp 1\nnodes 1\nbase s 1 0.0\nbase 1 t 0.0\nbase s t 0.0\n",
+            "direct source->sink edge is not allowed",
+        ),
+        (
+            "ldp 1\nnodes 2\nbase s 1 0.0\nbase 1 2 0.0\nbase 2 t 0.0\nlift 2 2 1.0\n",
+            "lifted self-loop at 2",
+        ),
+        (
+            "ldp 1\nnodes 2\nframe 1 1\nbase s 1 0.0\nbase 1 2 0.0\nbase 2 t 0.0\n",
+            "node 2 has no frame but frames are in use",
+        ),
+        (
+            "ldp 1\nnodes 2\nframe 1 1\nframe 2 1\nbase s 1 0.0\nbase 1 2 0.0\nbase 2 t 0.0\n",
+            "base edge (1,2) does not advance in frame order",
+        ),
+        # a lifted edge against frame order is rejected at its base route
+        (
+            "ldp 1\nnodes 2\nframe 1 2\nframe 2 1\nbase s 1 0.0\nbase 1 2 0.0\n"
+            "base 2 t 0.0\nlift 1 2 1.0\n",
+            "base edge (1,2) does not advance in frame order",
+        ),
     ],
 )
 def test_validation_errors_name_the_defect(text, fragment):
     with pytest.raises(InstanceValidationError) as err:
         parse_instance(text)
     assert fragment in str(err.value)
+
+
+_CHAIN = [(SOURCE, 1, 0.0), (1, 2, 0.0), (2, SINK, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, []), "inner node count must be >= 0"),
+        ((2, _CHAIN, (), {3: 1.0}), "node cost for unknown node 3"),
+        ((2, [(SOURCE, 1, 0.0), (1, 2, float("nan")), (2, SINK, 0.0)]),
+         "non-finite cost on edge (1,2)"),
+        ((2, _CHAIN, [(1, 2, float("inf"))]), "non-finite cost on edge (1,2)"),
+        ((2, _CHAIN, (), {1: -float("inf")}), "non-finite node cost"),
+        ((2, _CHAIN + [(3, SINK, 0.0)]), "dangling node id 3 in base edge"),
+        ((2, _CHAIN + [(1, 5, 0.0)]), "dangling node id 5 in base edge"),
+        ((2, _CHAIN, [(1, 3, 0.0)]), "lifted edge endpoint outside inner nodes: (1,3)"),
+        ((2, _CHAIN, [(SOURCE, 2, 0.0)]), "lifted edge endpoint outside inner nodes: (0,2)"),
+    ],
+)
+def test_instance_rejects_what_the_parser_cannot_write(args, message):
+    with pytest.raises(InstanceValidationError, match=re.escape(message)):
+        Instance(*args)
 
 
 _NODE_TOKENS = st.one_of(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -439,6 +440,36 @@ def assert_matches_enumeration(vs, objective, rows, mine):
 def test_reoptimised_branching_agrees_with_enumeration(seed):
     vs, objective, rows = parity_program(random.Random(seed))
     assert_matches_enumeration(vs, objective, rows, solve_binary(vs, objective, rows))
+
+
+def test_blands_rule_keeps_answers_once_degenerate_steps_switch_it_on(monkeypatch):
+    """With the degenerate-step count lifted to its limit before each count,
+    the first degenerate step switches `_Simplex` to Bland's rule.  Answers
+    still match HiGHS and enumeration, and both simplex loops then choose by
+    Bland's rule: each counts its step after its choice, so `lp.bland` at
+    the count is what the choice saw."""
+    count = milp._Simplex._count_degenerate
+    chose = set()
+
+    def at_limit(lp, t):
+        chose.add((sys._getframe(1).f_code.co_name, lp.bland))
+        lp.degenerate = 3 * (lp.m + lp.nstruct)
+        count(lp, t)
+
+    monkeypatch.setattr(milp._Simplex, "_count_degenerate", at_limit)
+    for seed in range(50):
+        rng = random.Random(seed)
+        vs = handles(rng.randint(1, 6))
+        objective = [float(rng.randint(-3, 3)) for _ in vs]
+        rows = random_rows(rng, vs, rng.randint(0, 6))
+        for program in ((vs, objective, rows), parity_program(rng)):
+            mine = solve_lp(*program)
+            ref = oracles.lp_reference(*program)
+            assert mine.status == ("infeasible" if ref.status == 2 else "optimal")
+            if mine.status == "optimal":
+                assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
+            assert_matches_enumeration(*program, solve_binary(*program))
+    assert {("_phase", True), ("_dual", True)} <= chose
 
 
 def resume_case(rng):

@@ -8,7 +8,8 @@ import sys
 from pathlib import Path
 
 ANSWERS = Path(__file__).resolve().parent.parent / "tools" / "answers.py"
-KEYS = {"items", "answers_sha256", "solves", "rounds", "nodes", "pivots", "refactors"}
+KEYS = {"items", "answers_sha256", "solves", "rounds", "nodes", "pivots", "pool_rows",
+        "refactors"}
 
 
 def test_answers_prints_one_json_line_of_answers_and_master_work():

@@ -7,8 +7,9 @@ Run from the root of a source checkout:
 Answers the items of the `perfbench/workloads.py` pool for that seed
 (all of them without `--items`) in order, and prints one JSON line:
 `items`, `answers_sha256` (a hash of every answer, see `fingerprint`),
-`solves` (driver `solve` calls), `rounds`, `nodes` and `pivots`
-(simplex pivots and bound flips) summed over those solves, and
+`solves` (driver `solve` calls), `rounds`, `nodes`, `pivots`
+(simplex pivots and bound flips) and `pool_rows` (rows of each solve's
+final pool, `len(result.cuts)`) summed over those solves, and
 `refactors` (calls of `milp._Simplex._refactor`, the basis inversion).
 A change that keeps every answer and the master work behind it prints the
 same line as its parent.  Set `OPENBLAS_NUM_THREADS=1` on both sides.
@@ -62,7 +63,8 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload](args.seed)
     items = workload.items[slice(int(start) if start else None, int(stop) if stop else None)]
 
-    totals = {"solves": 0, "rounds": 0, "nodes": 0, "pivots": 0, "refactors": 0}
+    totals = {"solves": 0, "rounds": 0, "nodes": 0, "pivots": 0, "pool_rows": 0,
+              "refactors": 0}
 
     def counted(solve):
         def run(*args, **kwargs):
@@ -71,6 +73,7 @@ def main(argv=None) -> int:
             totals["rounds"] += result.rounds
             totals["nodes"] += sum(r.master_nodes for r in result.trace)
             totals["pivots"] += sum(r.master_pivots for r in result.trace)
+            totals["pool_rows"] += len(result.cuts)
             return result
 
         return run
